@@ -6,7 +6,7 @@ PYTHON ?= python
 # editable install by putting src/ on PYTHONPATH.
 RUN_ENV = PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH}
 
-.PHONY: install test lint xmodlint check bench profile chaos crashtest shardtest storetest faultsweep metrics report examples clean
+.PHONY: install test lint xmodlint check bench benchtest profile chaos crashtest shardtest storetest faultsweep metrics report examples clean
 
 install:
 	pip install -e . --no-build-isolation || $(PYTHON) setup.py develop
@@ -38,6 +38,12 @@ check: lint xmodlint
 
 bench:
 	$(RUN_ENV) $(PYTHON) -m pytest benchmarks/ --benchmark-only -s
+
+# Self-tests of the end-to-end benchmark harness (benchmarks/e2e): tier-1
+# collects only tests/, and `make bench` passes --benchmark-only, which
+# skips them.
+benchtest:
+	$(RUN_ENV) $(PYTHON) -m pytest benchmarks/e2e -q
 
 profile:
 	$(RUN_ENV) $(PYTHON) -m benchmarks.perf.profile_pipeline

@@ -13,9 +13,12 @@ attributes, per-campaign observations) without any out-of-band fields.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field, fields, is_dataclass
 from pathlib import Path
-from typing import Dict, Iterable, Iterator, List, Optional
+from typing import (
+    Any, Dict, Iterable, Iterator, List, Optional, Tuple, get_args,
+    get_origin, get_type_hints,
+)
 
 from repro import failpoints
 from repro.util.durable import fsync_dir, fsync_handle
@@ -149,6 +152,52 @@ class BaselineRecord:
     declared_like_count: int
 
 
+def _field_plan(cls: type) -> Tuple[Tuple[str, str], ...]:
+    """``(name, copy)`` per field of record class ``cls``, in declaration order.
+
+    ``copy`` comes from the declared field type: ``"list"`` for a list of
+    scalars, ``"records"`` for a list of records, ``"share"`` otherwise.
+    """
+    hints = get_type_hints(cls)
+    plan = []
+    for spec in fields(cls):
+        hint = hints[spec.name]
+        if get_origin(hint) is list:
+            copy = "records" if is_dataclass(get_args(hint)[0]) else "list"
+        else:
+            copy = "share"
+        plan.append((spec.name, copy))
+    return tuple(plan)
+
+
+_FIELD_PLANS = {
+    cls: _field_plan(cls)
+    for cls in (LikeObservation, CampaignRecord, LikerRecord, BaselineRecord)
+}
+
+
+def record_fields(record: Any) -> Dict[str, Any]:
+    """One dataset record as a row dict: the row format of every sink.
+
+    Equal to ``dataclasses.asdict(record)``, key order included, but
+    shallow: list fields are copied with ``list()`` (so no row aliases
+    its record) and a list of records (a campaign's observations) is
+    encoded item by item, while scalars are shared — they are immutable,
+    so ``asdict``'s per-element ``deepcopy`` bought nothing but time.
+    The dataset JSONL, the store export and the checkpoint journal all
+    build their rows here, so their formats cannot drift apart.
+    """
+    row = {}
+    for name, copy in _FIELD_PLANS[type(record)]:
+        value = getattr(record, name)
+        if copy == "list":
+            value = list(value)
+        elif copy == "records":
+            value = [record_fields(item) for item in value]
+        row[name] = value
+    return row
+
+
 @dataclass
 # repro-lint: allow-CKPT001 built in one shot by _collect() after the crawl barrier, never mutated across a barrier; its inputs (monitor snapshots) are journaled write-ahead
 class HoneypotDataset:
@@ -196,15 +245,15 @@ class HoneypotDataset:
             "global_country": self.global_country,
         }
         for campaign in self.campaigns.values():
-            row = asdict(campaign)
+            row = record_fields(campaign)
             row["type"] = "campaign"
             yield row
         for liker in self.likers.values():
-            row = asdict(liker)
+            row = record_fields(liker)
             row["type"] = "liker"
             yield row
         for record in self.baseline:
-            row = asdict(record)
+            row = record_fields(record)
             row["type"] = "baseline"
             yield row
 
@@ -254,37 +303,45 @@ def iter_jsonl_rows(
     ``jsonl_salvage`` trace event); an unparseable line anywhere before
     valid records is interior corruption and still raises, so salvage can
     never silently swallow data from the middle of a file.
+
+    The file is read one line at a time, so memory stays at one row
+    however large the file.  Line numbers and "final line" follow
+    :meth:`str.splitlines` of the whole text: a blank line after a torn
+    one makes the torn line interior, and it refuses.
     """
     path = Path(path)
-    lines = path.read_text(encoding="utf-8").splitlines()
-    for line_number, line in enumerate(lines, start=1):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            row = json.loads(line)
-        except json.JSONDecodeError as error:
-            if salvage and line_number == len(lines):
-                if metrics is not None:
-                    metrics.trace_event(
-                        "jsonl_salvage",
-                        path=str(path),
-                        line=line_number,
-                        reason=error.msg,
-                    )
-                return
-            raise ValueError(
-                f"{path}:{line_number}: unparseable JSON line ({error.msg})"
-            ) from error
-        if not isinstance(row, dict):
-            # A bare scalar/array parses as JSON but can never be a
-            # record; salvage does not apply (a torn record row is a
-            # *prefix* of a JSON object and never parses at all).
-            raise ValueError(
-                f"{path}:{line_number}: JSONL row is not an object "
-                f"({type(row).__name__})"
-            )
-        yield row, line_number
+    with path.open(encoding="utf-8") as handle:
+        lines = (part for raw in handle for part in raw.splitlines())
+        for line_number, line in enumerate(lines, start=1):
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                row = json.loads(line)
+            except json.JSONDecodeError as error:
+                # One line of lookahead: only a line with nothing after it
+                # is the file's last.
+                if salvage and next(lines, None) is None:
+                    if metrics is not None:
+                        metrics.trace_event(
+                            "jsonl_salvage",
+                            path=str(path),
+                            line=line_number,
+                            reason=error.msg,
+                        )
+                    return
+                raise ValueError(
+                    f"{path}:{line_number}: unparseable JSON line ({error.msg})"
+                ) from error
+            if not isinstance(row, dict):
+                # A bare scalar/array parses as JSON but can never be a
+                # record; salvage does not apply (a torn record row is a
+                # *prefix* of a JSON object and never parses at all).
+                raise ValueError(
+                    f"{path}:{line_number}: JSONL row is not an object "
+                    f"({type(row).__name__})"
+                )
+            yield row, line_number
 
 
 def apply_row(dataset: HoneypotDataset, row: Dict, source: str = "<row>") -> None:

@@ -11,7 +11,7 @@ termination sweep a month later, and assemble the
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
 
 from repro import failpoints
@@ -34,6 +34,7 @@ from repro.honeypot.storage import (
     HoneypotDataset,
     LikeObservation,
     LikerRecord,
+    record_fields,
 )
 from repro.obs.manifest import config_fingerprint
 from repro.obs.metrics import MetricsRegistry, ObservabilityConfig
@@ -688,10 +689,10 @@ class HoneypotStudy:
         on_baseline: Optional[Callable[[BaselineRecord], None]] = None
         if manager is not None:
             on_liker = lambda record: manager.journal.append(  # noqa: E731
-                {"type": "liker", **asdict(record)}
+                {"type": "liker", **record_fields(record)}
             )
             on_baseline = lambda record: manager.journal.append(  # noqa: E731
-                {"type": "baseline", **asdict(record)}
+                {"type": "baseline", **record_fields(record)}
             )
         dataset.likers = crawler.crawl_likers(liker_campaigns, on_record=on_liker)
         if self.config.collect_globals:

@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import json
 import sqlite3
-from dataclasses import asdict
 from pathlib import Path
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
@@ -42,6 +41,7 @@ from repro.honeypot.storage import (
     LikeObservation,
     LikerRecord,
     iter_jsonl_rows,
+    record_fields,
     write_jsonl_rows,
 )
 from repro.obs.metrics import NULL_METRICS, MetricsRegistry
@@ -560,15 +560,15 @@ class HoneypotStore:
         )
         for row in cursor.fetchall():
             self._read("campaigns", 1)
-            out = asdict(self._campaign_record(row))
+            out = record_fields(self._campaign_record(row))
             out["type"] = "campaign"
             yield out
         for liker in self.iter_likers():
-            out = asdict(liker)
+            out = record_fields(liker)
             out["type"] = "liker"
             yield out
         for record in self.iter_baseline():
-            out = asdict(record)
+            out = record_fields(record)
             out["type"] = "baseline"
             yield out
 

@@ -9,6 +9,7 @@ from repro.honeypot.storage import (
     HoneypotDataset,
     LikeObservation,
     LikerRecord,
+    iter_jsonl_rows,
 )
 
 
@@ -262,3 +263,41 @@ class TestDurability:
             ValueError, match=rf"out\.jsonl:{torn_at}: unparseable"
         ):
             HoneypotDataset.from_jsonl(path, salvage=True)
+
+    def test_salvage_refuses_a_torn_line_before_a_trailing_blank(self, tmp_path):
+        # The final line is the blank one, so the torn record before it is
+        # interior: a lookahead that skipped blank lines would salvage it.
+        path = tmp_path / "out.jsonl"
+        make_dataset().to_jsonl(path)
+        torn_at = len(path.read_text().splitlines()) + 1
+        with path.open("a") as handle:
+            handle.write('{"kind": "liker", "user_id\n\n')
+        with pytest.raises(
+            ValueError, match=rf"out\.jsonl:{torn_at}: unparseable"
+        ):
+            HoneypotDataset.from_jsonl(path, salvage=True)
+
+    def test_loading_holds_one_row_not_the_file(self, tmp_path):
+        import tracemalloc
+
+        dataset = make_dataset()
+        for user_id in range(100, 2100):
+            dataset.likers[user_id] = LikerRecord(
+                user_id=user_id, gender="F", age_bracket="18-24",
+                country="US", friend_list_public=False,
+                declared_friend_count=None,
+                liked_page_ids=list(range(1000, 1300)), campaign_ids=["C1"],
+            )
+        path = tmp_path / "big.jsonl"
+        dataset.to_jsonl(path)
+        size = path.stat().st_size
+        rows = iter_jsonl_rows(path)
+        tracemalloc.start()
+        try:
+            for _ in rows:
+                pass
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert size > 2_000_000
+        assert peak < size // 10
