@@ -320,10 +320,16 @@ def scenario_shard_worker_poison(tmp, refs):
 
 
 def scenario_shard_worker_heartbeat(tmp, refs):
-    # Hit 1 is the synchronous start beat; hit 2 is the first timer
-    # beat (~0.2s in), which short-lived small-scale workers still reach.
+    # Hit 1 is the synchronous start beat; hit 2 is the first timer beat
+    # (~0.2s in).  A small-scale worker can finish its study before that
+    # beat, so every first-attempt worker also stalls 1s at its 10th
+    # journal record, which holds it alive past the first timer beat.
+    # Restarted workers scrub their failpoints and run clean.
     spec = "shard.worker.heartbeat=kill@2"
-    run = cli(tmp, ["run", *SHARD, "--out", "out.jsonl", "--failpoint", spec])
+    run = cli(tmp, [
+        "run", *SHARD, "--out", "out.jsonl", "--failpoint", spec,
+        "--failpoint", "ckpt.journal.record=stall:1@10",
+    ])
     assert run.returncode in (0, 1), run.stderr
     assert f"failpoint fired: {spec}" in run.stderr, run.stderr
     assert sha256(tmp / "out.jsonl") == refs.shard_hash()
