@@ -5,9 +5,10 @@ run must survive the same operational reality — a SIGKILL, an OOM, an
 operator Ctrl-C — without losing the dataset or its byte-identical-run
 guarantee.  This package provides:
 
-* :class:`DatasetJournal` — an append-only, per-record-fsync'd JSONL
-  write-ahead log of everything the study observes, with a recovery
-  reader that tolerates a torn final line;
+* :class:`DatasetJournal` — an append-only JSONL write-ahead log of
+  everything the study observes, flushed per record and fsync'd once per
+  barrier (group commit), with a recovery reader that tolerates a torn
+  final line;
 * snapshots — atomic, sha256-manifested captures of all serialisable
   study state (RNG generator states, engine clock/queue signature,
   monitor progress, circuit breakers, metrics counters) at phase

@@ -5,9 +5,19 @@ fact the study produces — each :class:`~repro.honeypot.monitor.MonitorSnapshot
 each crawled :class:`~repro.honeypot.storage.LikerRecord` and
 :class:`~repro.honeypot.storage.BaselineRecord`, each termination event,
 and a marker at every phase boundary — is appended as one JSON line and
-fsync'd before the study proceeds.  A SIGKILL therefore loses at most the
-record in flight, and that record can only be *torn* (a partial final
-line), never silently corrupting earlier ones.
+flushed to the OS before the study proceeds.  A SIGKILL leaves the OS
+page cache intact, so it loses at most the record in flight, and that
+record can only be *torn* (a partial final line), never silently
+corrupting earlier ones.
+
+The fsync is a group commit: :meth:`DatasetJournal.commit` makes every
+flushed record durable at once, and the checkpoint manager calls it
+before each snapshot, so no snapshot or manifest entry ever counts a
+record that is not on stable storage.  A power loss can therefore lose
+the records written since the last barrier; resume re-derives them from
+the seed and journals them again.  (If the power loss damages more than
+the final line of that unsynced tail, :func:`read_journal` refuses it as
+mid-file damage — a named checkpoint refusal, not a silent fork.)
 
 Recovery (:func:`read_journal`) tolerates exactly that failure mode: a
 final line that does not parse is dropped and reported; damage anywhere
@@ -35,8 +45,8 @@ from repro.util.durable import atomic_write_text, fsync_handle
 # Crash/stall injection migrated onto the failpoint registry: the env
 # spellings below survive as aliases that repro.failpoints.install_from_env
 # translates onto the ``ckpt.journal.record`` failpoint (the hit() call in
-# :meth:`DatasetJournal._write_row`, fired after the record is durably on
-# disk).  Re-exported here because the harnesses import them from this
+# :meth:`DatasetJournal._write_row`, fired after the record is flushed to
+# the OS).  Re-exported here because the harnesses import them from this
 # module.
 CRASH_AFTER_ENV = failpoints.CRASH_AFTER_ENV
 STALL_AFTER_ENV = failpoints.STALL_AFTER_ENV
@@ -119,7 +129,7 @@ def read_journal(
 
 
 class DatasetJournal:
-    """Append-only fsync'd JSONL journal with a replay-verify resume mode."""
+    """Append-only group-committed JSONL journal with a replay-verify resume mode."""
 
     def __init__(self, path: Path, metrics: Optional[MetricsRegistry] = None) -> None:
         self.path = Path(path)
@@ -128,6 +138,8 @@ class DatasetJournal:
         self._replay: List[Dict] = []
         self._replay_index = 0
         self.records_written = 0
+        #: Rows flushed to the OS but not yet fsync'd (see :meth:`commit`).
+        self.pending = 0
         self.fsyncs = 0
 
     # -- constructors -------------------------------------------------------------
@@ -153,6 +165,7 @@ class DatasetJournal:
         if shard_id is not None:
             header["shard"] = shard_id
         journal._write_row(header)
+        journal.commit()
         journal.records_written = 0  # the header is not a dataset record
         return journal
 
@@ -203,8 +216,8 @@ class DatasetJournal:
             journal._replay = list(recovery.records)
             journal.records_written = 0
             return journal
-        # No salvageable header: the crashed run died before its first
-        # fsync'd line landed, so this is a fresh start.
+        # No salvageable header: the crashed run died before its header
+        # landed, so this is a fresh start.
         return cls.start(path, seed, config_hash, metrics=metrics, shard_id=shard_id)
 
     # -- appends ------------------------------------------------------------------
@@ -220,7 +233,7 @@ class DatasetJournal:
         return self._replay_index
 
     def append(self, row: Dict) -> None:
-        """Durably append one record — or verify it against the salvage.
+        """Append one record — or verify it against the salvage.
 
         While a salvaged prefix remains, the record the study just
         re-produced must equal the one already on disk; a mismatch means
@@ -244,22 +257,44 @@ class DatasetJournal:
             raise CheckpointError(f"journal {self.path} is not open for appends")
         try:
             self._handle.write(json.dumps(row) + "\n")
-            fsync_handle(self._handle, tag="journal")
-            # The record is durably on disk; a kill/stall fired here
-            # lands at a reproducible journal position (the legacy
-            # CRASH_AFTER/STALL envs alias onto this name), and an errno
-            # fired here refuses through the same channel a real disk
-            # fault would.
+            self._handle.flush()
+            # The record is in the OS page cache, where a SIGKILL cannot
+            # reach it; a kill/stall fired here lands at a reproducible
+            # journal position (the legacy CRASH_AFTER/STALL envs alias
+            # onto this name), and an errno fired here refuses through the
+            # same channel a real disk fault would.
             failpoints.hit("ckpt.journal.record")
         except OSError as error:
             raise CheckpointError(
                 f"journal append to {self.path} failed: {error}"
             ) from error
-        self.fsyncs += 1
+        self.pending += 1
         self.records_written += 1
 
+    def commit(self) -> None:
+        """Fsync every record flushed since the last commit (group commit).
+
+        A no-op when nothing is pending.  The checkpoint manager commits
+        before each snapshot, so a power loss loses at most the records
+        written since the last barrier.
+        """
+        if not self.pending:
+            return
+        try:
+            fsync_handle(self._handle, tag="journal")
+        except OSError as error:
+            raise CheckpointError(
+                f"journal commit to {self.path} failed: {error}"
+            ) from error
+        self.fsyncs += 1
+        self.pending = 0
+
     def close(self) -> None:
-        """Close the underlying handle (appends after this raise)."""
-        if self._handle is not None:
+        """Commit any pending tail, then close (appends after this raise)."""
+        if self._handle is None:
+            return
+        try:
+            self.commit()
+        finally:
             self._handle.close()
             self._handle = None

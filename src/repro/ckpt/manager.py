@@ -5,9 +5,10 @@ It owns the checkpoint directory — the write-ahead
 :class:`~repro.ckpt.journal.DatasetJournal` plus the snapshot files and
 their manifest — and exposes exactly two behaviours:
 
-* **Fresh mode** — at every barrier the study reaches, write an atomic
-  snapshot of the full serialisable state and index it in the manifest;
-  journal every dataset record the instant it exists.
+* **Fresh mode** — at every barrier the study reaches, commit (fsync) the
+  journal, then write an atomic snapshot of the full serialisable state
+  and index it in the manifest; journal every dataset record the instant
+  it exists.
 * **Resume mode** — the study re-executes deterministically from its seed
   (the social network and event closures are reconstructed by replay, not
   deserialised); the manager *verifies* that replay against the crashed
@@ -268,6 +269,9 @@ class CheckpointManager:
         self._persist("interrupt", sim_time, state)
 
     def _persist(self, phase: str, sim_time: int, state: Dict) -> None:
+        # Group commit: the snapshot below counts every journal record so
+        # far, so those records reach stable storage before it does.
+        self.journal.commit()
         entry = write_snapshot(
             self.directory,
             {

@@ -30,7 +30,9 @@ interruptibly once; ``hang`` never returns; ``count`` only counts
 The legacy harness envs (``REPRO_CKPT_CRASH_AFTER``,
 ``REPRO_CKPT_STALL_AFTER``/``_SECONDS``) are kept as aliases: they
 translate onto ``ckpt.journal.record`` here, preserving the original
-"after the Nth durably journaled record" semantics, header included.
+"after the Nth journaled record" semantics, header included (the record
+is flushed to the OS, so a SIGKILL there keeps it; the fsync comes later,
+once per checkpoint barrier).
 
 Firing is announced on stderr and — when a metrics registry is bound via
 :func:`bind_metrics` — as a ``failpoint_fired`` trace event.  Neither

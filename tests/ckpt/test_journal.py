@@ -6,9 +6,11 @@ import json
 
 import pytest
 
+from repro import failpoints
 from repro.ckpt import CheckpointError, DatasetJournal, read_journal
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import EventTrace
+from repro.util.durable import FSYNC_COUNTS
 
 
 def _fresh(path, seed=7, config_hash="abc"):
@@ -26,15 +28,52 @@ class TestAppend:
         assert json.loads(lines[0])["type"] == "journal-header"
         assert json.loads(lines[2]) == {"type": "liker", "user_id": 2}
 
-    def test_every_append_fsyncs(self, tmp_path):
-        journal = _fresh(tmp_path / "j.jsonl")
+    def test_appends_flush_and_commit_fsyncs_once(self, tmp_path):
+        path = tmp_path / "j.jsonl"
+        journal = _fresh(path)
         assert journal.fsyncs == 1  # the header
         journal.append({"a": 1})
         journal.append({"a": 2})
-        assert journal.fsyncs == 3
+        # Flushed, not fsync'd: another process (and a SIGKILL) sees both.
+        assert read_journal(path).records == [{"a": 1}, {"a": 2}]
+        assert journal.fsyncs == 1
+        journal.commit()
+        assert journal.fsyncs == 2
+        journal.commit()  # nothing pending
+        assert journal.fsyncs == 2
         assert journal.records_written == 2
         assert journal.position == 2
         journal.close()
+
+    def test_fsyncs_counts_real_journal_fsyncs(self, tmp_path):
+        before = FSYNC_COUNTS.get("journal", 0)
+        journal = _fresh(tmp_path / "j.jsonl")
+        for i in range(5):
+            journal.append({"a": i})
+        journal.commit()
+        journal.commit()
+        assert FSYNC_COUNTS.get("journal", 0) - before == journal.fsyncs == 2
+        journal.close()
+
+    def test_close_commits_the_pending_tail(self, tmp_path):
+        journal = _fresh(tmp_path / "j.jsonl")
+        journal.append({"a": 1})
+        assert journal.fsyncs == 1
+        journal.close()
+        assert journal.fsyncs == 2
+        journal.close()  # idempotent
+        assert journal.fsyncs == 2
+
+    def test_failed_commit_is_a_checkpoint_error(self, tmp_path):
+        journal = _fresh(tmp_path / "j.jsonl")
+        journal.append({"a": 1})
+        failpoints.configure("durable.fsync.file=errno:EIO@1")
+        try:
+            with pytest.raises(CheckpointError, match="journal commit"):
+                journal.commit()
+        finally:
+            failpoints.reset()
+            journal.close()
 
     def test_append_after_close_raises(self, tmp_path):
         journal = _fresh(tmp_path / "j.jsonl")
