@@ -163,8 +163,9 @@ def _run_checkpointed(baseline_wall: float) -> dict:
     """One paper-scale run with full durability on; overhead accounting.
 
     ``checkpoint_overhead_seconds`` is the wall-time delta against the
-    plain pass — what the per-record journal fsyncs plus the phase (and
-    weekly mid-simulation) snapshots cost end to end.
+    plain pass — what the journal (flushed per record, fsync'd once per
+    barrier) plus the phase (and weekly mid-simulation) snapshots cost
+    end to end; ``journal_fsyncs`` is the header plus one per snapshot.
     """
     with tempfile.TemporaryDirectory(prefix="repro-ckpt-bench-") as tmp:
         config = StudyConfig()

@@ -10,6 +10,10 @@ page cache intact, so it loses at most the record in flight, and that
 record can only be *torn* (a partial final line), never silently
 corrupting earlier ones.
 
+Recovery (:func:`read_journal`) tolerates exactly that failure mode: a
+final line that does not parse is dropped and reported; damage anywhere
+else is real corruption and refuses loudly.
+
 The fsync is a group commit: :meth:`DatasetJournal.commit` makes every
 flushed record durable at once, and the checkpoint manager calls it
 before each snapshot, so no snapshot or manifest entry ever counts a
@@ -18,10 +22,6 @@ the records written since the last barrier; resume re-derives them from
 the seed and journals them again.  (If the power loss damages more than
 the final line of that unsynced tail, :func:`read_journal` refuses it as
 mid-file damage — a named checkpoint refusal, not a silent fork.)
-
-Recovery (:func:`read_journal`) tolerates exactly that failure mode: a
-final line that does not parse is dropped and reported; damage anywhere
-else is real corruption and refuses loudly.
 
 On resume the journal runs in *replay-verify* mode: records the resumed
 (deterministic) run re-produces are compared byte-for-byte against the

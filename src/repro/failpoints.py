@@ -20,9 +20,10 @@ Activation (all merge):
   config fingerprint — injection never changes run identity).
 
 Actions: ``errno:<NAME>`` raises :class:`OSError` with that errno;
-``kill`` SIGKILLs the process (uncatchable, like a power loss); ``torn``
-runs the call site's partial-effect callback (a short write, a skipped
-rename) and then SIGKILLs; ``exit:<code>`` hard-exits; ``raise`` raises
+``kill`` SIGKILLs the process (uncatchable; unlike a power loss, it
+keeps what was flushed to the OS); ``torn`` runs the call site's
+partial-effect callback (a short write, a skipped rename) and then
+SIGKILLs; ``exit:<code>`` hard-exits; ``raise`` raises
 :class:`FailpointError` (the poison driver); ``stall:<seconds>`` sleeps
 interruptibly once; ``hang`` never returns; ``count`` only counts
 (coverage mode — ``*=count`` arms every registered name).

@@ -78,16 +78,14 @@ def snapshot_phases(monkeypatch, synced_sizes):
 
 class TestCommitBeforeSnapshot:
     def test_every_study_barrier_commits_first(
-        self, tmp_path, plain_bytes, snapshot_phases, synced_sizes
+        self, tmp_path, snapshot_phases, synced_sizes
     ):
         artifacts = HoneypotStudy(tiny_config(tmp_path / "ck", every_days=3.0)).run()
-        assert dataset_bytes(artifacts, tmp_path / "out.jsonl") == plain_bytes
         stats = artifacts.checkpoint
         assert len(snapshot_phases) == stats["snapshots_written"] > 4
-        # One fsync per barrier plus the header, none per record.
+        # The header plus one commit per snapshot, none per record.
         assert len(synced_sizes) == stats["journal_fsyncs"]
         assert stats["journal_fsyncs"] == stats["snapshots_written"] + 1
-        assert stats["journal_records_written"] > stats["journal_fsyncs"]
 
     def test_interrupt_snapshot_commits_first(
         self, tmp_path, snapshot_phases, synced_sizes
