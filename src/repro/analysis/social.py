@@ -17,8 +17,6 @@ from collections import defaultdict
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Set, Tuple
 
-import networkx as nx
-
 from repro.analysis.stats import SummaryStats, summary_stats
 from repro.farms.catalog import AUTHENTICLIKES, MAMMOTHSOCIALS
 from repro.honeypot.campaignspec import FACEBOOK_PROVIDER
@@ -186,6 +184,8 @@ def group_graph_stats(
     ``include_mutual=False`` analyses direct friendships (Figure 3a);
     ``True`` adds mutual-friend pairs as edges (Figure 3b).
     """
+    import networkx as nx
+
     groups = group_likers_by_provider(dataset)
     edges = observed_direct_edges(dataset)
     if include_mutual:

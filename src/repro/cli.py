@@ -53,8 +53,6 @@ from repro.analysis.report import full_report
 from repro.core.experiment import HoneypotExperiment
 from repro.core.results import ExperimentResults
 from repro.ckpt import CheckpointConfig, CheckpointError
-from repro.detection.features import extract_liker_features
-from repro.detection.rules import RuleBasedDetector
 from repro.honeypot.storage import HoneypotDataset
 from repro.honeypot.study import StudyConfig
 from repro.obs import ObservabilityConfig, build_manifest, write_manifest
@@ -387,6 +385,9 @@ def cmd_export(args: argparse.Namespace) -> int:
 
 
 def cmd_detect(args: argparse.Namespace) -> int:
+    from repro.detection.features import extract_liker_features
+    from repro.detection.rules import RuleBasedDetector
+
     dataset = HoneypotDataset.from_jsonl(args.dataset)
     detector = RuleBasedDetector(like_count_threshold=args.like_threshold)
     features = extract_liker_features(dataset)

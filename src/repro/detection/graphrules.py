@@ -17,9 +17,7 @@ the paper's stealth-farm gap.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Set
-
-import networkx as nx
+from typing import TYPE_CHECKING, Dict, List, Set
 
 from repro.analysis.social import (
     observed_direct_edges,
@@ -27,6 +25,9 @@ from repro.analysis.social import (
 )
 from repro.honeypot.storage import HoneypotDataset
 from repro.util.validation import check_positive, require
+
+if TYPE_CHECKING:  # pragma: no cover - networkx loads on first use
+    import networkx as nx
 
 
 @dataclass(frozen=True)
@@ -78,6 +79,8 @@ class GraphCommunityDetector:
 
     def build_observed_graph(self, dataset: HoneypotDataset) -> nx.Graph:
         """The crawler's view of liker-liker relations."""
+        import networkx as nx
+
         graph = nx.Graph()
         graph.add_nodes_from(dataset.likers.keys())
         graph.add_edges_from(observed_direct_edges(dataset))
@@ -89,6 +92,8 @@ class GraphCommunityDetector:
         self, dataset: HoneypotDataset
     ) -> List[SuspiciousComponent]:
         """All components meeting the size or density criterion."""
+        import networkx as nx
+
         graph = self.build_observed_graph(dataset)
         flagged: List[SuspiciousComponent] = []
         for nodes in nx.connected_components(graph):

@@ -14,14 +14,16 @@ export to :mod:`networkx` via :meth:`FriendshipGraph.to_networkx`.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, Set, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, Iterator, List, Set, Tuple
 
-import networkx as nx
 import numpy as np
 
 from repro.osn.columns import TypedVector
 from repro.osn.ids import UserId
 from repro.util.validation import ValidationError, require
+
+if TYPE_CHECKING:  # pragma: no cover - networkx loads on first export
+    import networkx as nx
 
 _EMPTY_I64 = np.empty(0, dtype=np.int64)
 
@@ -367,6 +369,8 @@ class FriendshipGraph:
 
     def to_networkx(self, users: Iterable[UserId] = None) -> nx.Graph:
         """Export (optionally the subgraph induced by ``users``) to networkx."""
+        import networkx as nx
+
         graph = nx.Graph()
         if users is None:
             # _compile() folds any pending appends, so the compiled node

@@ -11,8 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-import networkx as nx
-
 from repro.osn.ids import UserId
 from repro.osn.network import SocialNetwork
 from repro.util.validation import require
@@ -41,6 +39,8 @@ class GraphMetrics:
 
 def graph_metrics(network: SocialNetwork, users: Iterable[UserId]) -> GraphMetrics:
     """Compute :class:`GraphMetrics` for the subgraph induced by ``users``."""
+    import networkx as nx
+
     user_list = list(users)
     require(len(user_list) > 0, "users must be non-empty")
     graph = network.graph.to_networkx(user_list)
