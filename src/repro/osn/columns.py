@@ -13,9 +13,16 @@ scheme:
   codes instead of Python strings.
 * :class:`ColumnIndex` — a lazily compiled inverted index over an id
   column: a stable argsort groups equal keys into contiguous runs, so
-  "all rows for key k" becomes one slice.  Appends after compilation
-  land in a *tail* that callers scan vectorised; the index recompiles
-  only when the tail outgrows the compiled prefix.
+  "all rows for key k" becomes one slice.  Rows appended after
+  compilation form a *tail*; the first query that sees a tail row puts
+  it into a per-key bucket, once, and the index recompiles only when
+  the tail outgrows the compiled prefix.
+
+The id and time columns these index are int32: every user id, page id
+and minute timestamp fits in 32 bits.  :func:`as_int32` and
+:func:`check_int32` reject an out-of-range value with
+:class:`~repro.util.validation.ValidationError` before anything is
+written, where a plain NumPy store would wrap it silently.
 
 All three are deterministic by construction: stable sorts, insertion-
 order code assignment, and no hashing of anything but Python ints.
@@ -23,13 +30,33 @@ order code assignment, and no hashing of anything but Python ints.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 import numpy as np
 
-__all__ = ["TypedVector", "StringInterner", "ColumnIndex"]
+from repro.util.validation import ValidationError
+
+__all__ = ["TypedVector", "StringInterner", "ColumnIndex", "as_int32", "check_int32"]
 
 _MIN_CAPACITY = 16
+
+_INT32_MIN = -(2**31)
+_INT32_MAX = 2**31 - 1
+
+
+def check_int32(value: int, what: str) -> None:
+    """Reject a scalar bound for an int32 column that would wrap there."""
+    if not _INT32_MIN <= value <= _INT32_MAX:
+        raise ValidationError(f"{what} {value} does not fit in 32 bits")
+
+
+def as_int32(values, what: str) -> np.ndarray:
+    """``values`` as an int32 array, rejecting any element that would wrap."""
+    arr = np.asarray(values, dtype=np.int64)
+    if arr.shape[0] and (arr.min() < _INT32_MIN or arr.max() > _INT32_MAX):
+        wide = (arr < _INT32_MIN) | (arr > _INT32_MAX)
+        raise ValidationError(f"{what} {int(arr[wide][0])} does not fit in 32 bits")
+    return arr.astype(np.int32)
 
 
 class TypedVector:
@@ -148,11 +175,16 @@ class ColumnIndex:
     total instead of an O(tail) rescan per query.  :meth:`ensure`
     recompiles when the tail outgrows the compiled prefix so run lookups
     stay amortised O(log u + run).
+
+    The row permutation ``_order`` is int32, 4 bytes per indexed row, so
+    a column indexes at most ``2**31 - 1`` rows.  The per-key tables,
+    ``_unique`` and ``_starts``, stay int64: scalar lookups binary-search
+    ``_unique`` with a Python int, which NumPy does several times faster
+    on an int64 array than on an int32 one.
     """
 
     __slots__ = (
         "_order",
-        "_sorted_keys",
         "_unique",
         "_starts",
         "_compiled_n",
@@ -162,46 +194,36 @@ class ColumnIndex:
 
     def __init__(self) -> None:
         self._order: Optional[np.ndarray] = None
-        self._sorted_keys: Optional[np.ndarray] = None
         self._unique: Optional[np.ndarray] = None
         self._starts: Optional[np.ndarray] = None
         self._compiled_n = 0
         self._tail_map: Dict[int, List[int]] = {}
         self._scanned_n = 0
 
-    @property
-    def compiled_n(self) -> int:
-        return self._compiled_n
-
-    def invalidate(self) -> None:
-        self._order = None
-        self._sorted_keys = None
-        self._unique = None
-        self._starts = None
-        self._compiled_n = 0
-        self._tail_map = {}
-        self._scanned_n = 0
-
     def compile(self, keys: np.ndarray) -> None:
         """(Re)build the index over the full column ``keys``."""
-        order = np.argsort(keys, kind="stable")
+        n = int(keys.shape[0])
+        if n > _INT32_MAX:
+            raise ValidationError(f"{n} rows do not fit a 32-bit index")
+        # narrow the intp permutation before gathering, so the 8-byte one
+        # is freed before the sorted keys are allocated
+        order = np.argsort(keys, kind="stable").astype(np.int32)
         sorted_keys = keys[order]
         self._order = order
-        self._sorted_keys = sorted_keys
         # run boundaries: unique keys and the start offset of each run
-        if sorted_keys.shape[0]:
-            change = np.empty(sorted_keys.shape[0], dtype=bool)
+        if n:
+            change = np.empty(n, dtype=bool)
             change[0] = True
             np.not_equal(sorted_keys[1:], sorted_keys[:-1], out=change[1:])
             starts = np.flatnonzero(change)
-            self._unique = sorted_keys[starts]
-            self._starts = np.append(starts, sorted_keys.shape[0])
+            self._unique = sorted_keys[starts].astype(np.int64)
+            self._starts = np.append(starts, n)
         else:
-            self._unique = sorted_keys
+            self._unique = np.empty(0, dtype=np.int64)
             self._starts = np.zeros(1, dtype=np.int64)
-        self._compiled_n = int(keys.shape[0])
+        self._compiled_n = n
         self._tail_map = {}
-        self._scanned_n = self._compiled_n
+        self._scanned_n = n
 
     def ensure(self, keys: np.ndarray) -> None:
         """Compile or recompile as needed; bucket any unseen tail rows.
@@ -233,7 +255,7 @@ class ColumnIndex:
         ``compile``/``ensure`` must have run first.
         """
         unique = self._unique
-        i = int(np.searchsorted(unique, key))
+        i = int(unique.searchsorted(key))
         if i == unique.shape[0] or unique[i] != key:
             return _EMPTY_POSITIONS
         run = self._order[self._starts[i] : self._starts[i + 1]]
@@ -247,7 +269,7 @@ class ColumnIndex:
         bucket = self._tail_map.get(key)
         if bucket is None:
             return run
-        tail_hits = np.asarray(bucket, dtype=np.int64)
+        tail_hits = np.asarray(bucket, dtype=np.int32)
         if run.shape[0] == 0:
             return tail_hits
         return np.concatenate([run, tail_hits])
@@ -262,9 +284,9 @@ class ColumnIndex:
         self.ensure(keys)
         unique = self._unique
         if unique.shape[0] == 0:
-            result = np.full(query.shape[0], -1, dtype=np.int64)
+            result = np.full(query.shape[0], -1, dtype=np.int32)
         else:
-            slots = np.searchsorted(unique, query)
+            slots = unique.searchsorted(query)
             slots[slots == unique.shape[0]] = 0
             present = unique[slots] == query
             # last row of each compiled run (stable sort keeps arrival order)
@@ -281,7 +303,7 @@ class ColumnIndex:
         """Number of rows holding ``key`` (cheaper than materialising)."""
         self.ensure(keys)
         unique = self._unique
-        i = int(np.searchsorted(unique, key))
+        i = int(unique.searchsorted(key))
         n = 0
         if i < unique.shape[0] and unique[i] == key:
             n = int(self._starts[i + 1] - self._starts[i])
@@ -291,4 +313,4 @@ class ColumnIndex:
         return n
 
 
-_EMPTY_POSITIONS = np.empty(0, dtype=np.int64)
+_EMPTY_POSITIONS = np.empty(0, dtype=np.int32)

@@ -4,16 +4,20 @@ The temporal analysis (paper Figure 2) and the burst-based detection rules
 need *when* each like landed, not just the final liker set, so the network
 records every like as an immutable event in arrival order.
 
-Storage is columnar: the log is three parallel growable NumPy columns —
-``user_id``, ``page_id``, ``time`` — appended in arrival order, plus two
-lazily compiled :class:`repro.osn.columns.ColumnIndex` inverted indexes
-(per page and per user).  "All events for page p" is one stable-sorted
-slice; events appended after an index compiles land in a tail the index
-scans vectorised.  :class:`LikeEvent` objects are materialised only on
-read.  At paper scale the write path sees ~1.2M events, so the hot entry
-point is :meth:`LikeLog.record_many`, which validates once per batch
-instead of once per event; the scalar :meth:`LikeLog.record` remains for
-single events.
+Storage is columnar: the log is three parallel growable int32 columns —
+``user_id``, ``page_id``, ``time`` — appended in arrival order, 12 bytes
+per event, plus two lazily compiled
+:class:`repro.osn.columns.ColumnIndex` inverted indexes (per page and
+per user), 4 bytes per event each.  Ids and minute timestamps all fit in
+32 bits; a write whose id or time does not is rejected whole with
+:class:`ValidationError` before any column grows.  "All events for page
+p" is one stable-sorted slice; events appended after an index compiles
+form a tail, and the first query that sees a tail event puts it into a
+per-key bucket, once.  :class:`LikeEvent` objects are materialised only
+on read.  At paper scale the write path sees ~1.2M events, nearly all
+through :meth:`LikeLog.record_arrays`, which lands a whole cohort's
+likes with one validation and one append per column; the scalar
+:meth:`LikeLog.record` takes ad and farm deliveries one like at a time.
 
 Removals are kept as a side list of :class:`LikeRemovalEvent` records
 tagged with the like-event count at removal time (their *sequence
@@ -30,7 +34,7 @@ from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from repro.osn.columns import ColumnIndex, TypedVector
+from repro.osn.columns import ColumnIndex, TypedVector, as_int32, check_int32
 from repro.osn.ids import PageId, UserId
 from repro.util.validation import ValidationError, require
 
@@ -74,9 +78,9 @@ class LikeLog:
     """
 
     def __init__(self) -> None:
-        self._users = TypedVector(np.int64)
-        self._pages = TypedVector(np.int64)
-        self._times = TypedVector(np.int64)
+        self._users = TypedVector(np.int32)
+        self._pages = TypedVector(np.int32)
+        self._times = TypedVector(np.int32)
         self._page_index = ColumnIndex()
         self._user_index = ColumnIndex()
         self._max_time = -1
@@ -90,15 +94,12 @@ class LikeLog:
     def __len__(self) -> int:
         return self._count
 
-    def reserve(self, extra: int) -> None:
-        """Presize the event columns for ``extra`` upcoming events."""
-        self._users.reserve(extra)
-        self._pages.reserve(extra)
-        self._times.reserve(extra)
-
     def record(self, event: LikeEvent) -> None:
         """Append ``event``; rejects out-of-order times for the same page."""
         time = event.time
+        check_int32(event.user_id, "user id")
+        check_int32(event.page_id, "page id")
+        check_int32(time, "like time")
         if time < self._max_time:
             last = self.page_last_time(event.page_id)
             if last is not None and time < last:
@@ -128,6 +129,9 @@ class LikeLog:
         if k == 0:
             return
         require(time >= 0, "like time must be >= 0")
+        check_int32(time, "like time")
+        check_int32(user_id, "user id")
+        pages = as_int32(page_ids, "page id")
         # Validate before mutating: a batch either applies in full or not
         # at all, so a rejected batch never leaves the columns
         # half-written.  ``time >= _max_time`` subsumes every per-page
@@ -140,7 +144,7 @@ class LikeLog:
                     raise ValidationError(
                         "like events for a page must arrive in chronological order"
                     )
-        self._pages.extend(np.asarray(page_ids, dtype=np.int64))
+        self._pages.extend(pages)
         self._users.extend_full(k, user_id)
         self._times.extend_full(k, time)
         self._count += k
@@ -152,28 +156,33 @@ class LikeLog:
     ) -> None:
         """Append aligned ``(user, page)`` event columns, all at ``time``.
 
-        The cohort-wide fast path: one call lands every like a generator
-        batch produced.  Same validation contract as :meth:`record_many`
-        (batch atomicity, chronological order per page), one column append
-        for the whole cohort.
+        The production bulk path: one call lands every like a world
+        generator cohort produced (organic users, farm accounts, click
+        workers).  Same validation contract as
+        :meth:`record_many` (batch atomicity, ids and time within int32,
+        chronological order per page), one column append for the whole
+        cohort.
         """
         k = page_ids.shape[0]
         if k == 0:
             return
         require(time >= 0, "like time must be >= 0")
+        check_int32(time, "like time")
+        users = as_int32(user_ids, "user id")
+        pages = as_int32(page_ids, "page id")
         if time < self._max_time:
             # vectorised per-page chronology check: newest existing event
             # per batch page, compared against the batch timestamp
             last_rows = self._page_index.last_positions(
-                page_ids, self._pages.values()
+                pages, self._pages.values()
             )
             seen = last_rows >= 0
             if bool(np.any(self._times.values()[last_rows[seen]] > time)):
                 raise ValidationError(
                     "like events for a page must arrive in chronological order"
                 )
-        self._pages.extend(page_ids)
-        self._users.extend(user_ids)
+        self._pages.extend(pages)
+        self._users.extend(users)
         self._times.extend_full(k, time)
         self._count += k
         if time > self._max_time:

@@ -1,10 +1,15 @@
 """The friendship graph.
 
 Facebook friendships are bidirectional, so the graph is undirected.
-Storage is columnar: edges land in append-only endpoint arrays and are
-lazily *compiled* into a CSR adjacency (sorted node array + offsets +
+Storage is columnar: edges land in append-only int32 endpoint arrays and
+are lazily *compiled* into a CSR adjacency (sorted node array + offsets +
 neighbor array), so "friends of u" is one slice instead of a dict-of-set
-walk.  Edges added after a compile are mirrored in a small dict-of-set
+walk.  Every per-edge array, raw or compiled, is int32; an endpoint
+outside int32 is rejected with :class:`ValidationError` before any
+column grows.  The per-node tables (node array, offsets) stay int64, as
+:class:`repro.osn.columns.ColumnIndex`'s per-key tables do, because a
+scalar lookup binary-searches the node array with a Python int.
+Edges added after a compile are mirrored in a small dict-of-set
 overlay so point queries (``are_friends``, ``degree``, ``neighbors``)
 stay O(1)-ish without recompiling; removals (account terminations) mark
 the compiled form stale and the next structural query folds everything
@@ -18,18 +23,19 @@ from typing import TYPE_CHECKING, Dict, Iterable, Iterator, List, Set, Tuple
 
 import numpy as np
 
-from repro.osn.columns import TypedVector
+from repro.osn.columns import TypedVector, as_int32, check_int32
 from repro.osn.ids import UserId
 from repro.util.validation import ValidationError, require
 
 if TYPE_CHECKING:  # pragma: no cover - networkx loads on first export
     import networkx as nx
 
+_EMPTY_I32 = np.empty(0, dtype=np.int32)
 _EMPTY_I64 = np.empty(0, dtype=np.int64)
 
-# Endpoint ids fit comfortably in 32 bits (dense allocator bases are in
-# the single-digit millions), so an undirected edge packs into one int64
-# for vectorised dedup.
+# Endpoint ids are int32 (dense allocator bases are in the single-digit
+# millions), so an undirected edge packs into one int64 for vectorised
+# dedup.
 _PACK_SHIFT = np.int64(32)
 
 
@@ -62,9 +68,9 @@ class FriendshipGraph:
 
     def __init__(self) -> None:
         # raw append-only columns (the write log)
-        self._edge_a = TypedVector(np.int64)
-        self._edge_b = TypedVector(np.int64)
-        self._explicit_nodes = TypedVector(np.int64)
+        self._edge_a = TypedVector(np.int32)
+        self._edge_b = TypedVector(np.int32)
+        self._explicit_nodes = TypedVector(np.int32)
         # removals: (user, node_watermark, edge_watermark) — only rows
         # appended *before* the watermarks are affected, so a re-added
         # account starts clean.
@@ -73,9 +79,9 @@ class FriendshipGraph:
         self._c_nodes = _EMPTY_I64
         self._c_off_lo = _EMPTY_I64
         self._c_off_hi = _EMPTY_I64
-        self._c_neighbors = _EMPTY_I64
-        self._c_pair_lo = _EMPTY_I64
-        self._c_pair_hi = _EMPTY_I64
+        self._c_neighbors = _EMPTY_I32
+        self._c_pair_lo = _EMPTY_I32
+        self._c_pair_hi = _EMPTY_I32
         self._c_edge_count = 0
         self._compiled_edges_n = 0
         self._compiled_nodes_n = 0
@@ -95,7 +101,7 @@ class FriendshipGraph:
     def _compiled_slot(self, user_id: int) -> int:
         """Index of ``user_id`` in the compiled node array, or -1."""
         nodes = self._c_nodes
-        i = int(np.searchsorted(nodes, user_id))
+        i = int(nodes.searchsorted(user_id))
         if i < nodes.shape[0] and nodes[i] == user_id:
             return i
         return -1
@@ -103,7 +109,7 @@ class FriendshipGraph:
     def _compiled_neighbors(self, user_id: int) -> np.ndarray:
         slot = self._compiled_slot(user_id)
         if slot < 0:
-            return _EMPTY_I64
+            return _EMPTY_I32
         return self._c_neighbors[self._c_off_lo[slot] : self._c_off_hi[slot]]
 
     def _compile(self) -> None:
@@ -140,24 +146,26 @@ class FriendshipGraph:
             a = a[edge_keep]
             b = b[edge_keep]
             explicit = explicit[node_keep]
-        # canonical (lo, hi) pairs, deduplicated via int64 packing; a
-        # sort-and-mask dedup (identical result to np.unique) because
-        # numpy's hash-based unique is ~50x slower on these wide keys
-        lo = np.minimum(a, b)
+        # canonical (lo, hi) pairs, deduplicated via int64 packing (lo is
+        # widened first so the shift keeps its bits); a sort-and-mask
+        # dedup (identical result to np.unique) because numpy's hash-based
+        # unique is ~50x slower on these wide keys
+        lo = np.minimum(a, b).astype(np.int64)
         hi = np.maximum(a, b)
         packed = _sorted_unique((lo << _PACK_SHIFT) | hi)
-        pair_lo = packed >> _PACK_SHIFT
-        pair_hi = packed & np.int64(0xFFFFFFFF)
+        pair_lo = (packed >> _PACK_SHIFT).astype(np.int32)
+        pair_hi = (packed & np.int64(0xFFFFFFFF)).astype(np.int32)
         # node universe: explicitly added nodes plus surviving endpoints
-        self._c_nodes = _sorted_unique(np.concatenate([explicit, pair_lo, pair_hi]))
+        nodes = _sorted_unique(np.concatenate([explicit, pair_lo, pair_hi]))
         # CSR over both edge directions, neighbors sorted per node
         u = np.concatenate([pair_lo, pair_hi])
         v = np.concatenate([pair_hi, pair_lo])
         order = np.lexsort((v, u))
         us = u[order]
         self._c_neighbors = v[order]
-        self._c_off_lo = np.searchsorted(us, self._c_nodes, side="left")
-        self._c_off_hi = np.searchsorted(us, self._c_nodes, side="right")
+        self._c_off_lo = us.searchsorted(nodes, side="left")
+        self._c_off_hi = us.searchsorted(nodes, side="right")
+        self._c_nodes = nodes.astype(np.int64)
         self._c_pair_lo = pair_lo
         self._c_pair_hi = pair_hi
         self._c_edge_count = int(pair_lo.shape[0])
@@ -173,6 +181,7 @@ class FriendshipGraph:
     def add_user(self, user_id: UserId) -> None:
         """Ensure a node exists for ``user_id`` (no-op if present)."""
         user_id = int(user_id)
+        check_int32(user_id, "user id")
         if self._clean():
             if user_id in self._overlay_nodes or self._compiled_slot(user_id) >= 0:
                 return
@@ -181,7 +190,7 @@ class FriendshipGraph:
 
     def add_users_bulk(self, user_ids) -> None:
         """Ensure nodes exist for a batch of *fresh* (never-seen) user ids."""
-        ids = np.asarray(user_ids, dtype=np.int64)
+        ids = as_int32(user_ids, "user id")
         if ids.shape[0] == 0:
             return
         self._explicit_nodes.extend(ids)
@@ -196,6 +205,8 @@ class FriendshipGraph:
         """Create the undirected edge (a, b).  Idempotent; self-loops rejected."""
         require(a != b, "a user cannot befriend themselves")
         a, b = int(a), int(b)
+        check_int32(a, "friendship endpoint")
+        check_int32(b, "friendship endpoint")
         if not self._clean():
             self._compile()
         overlay_a = self._overlay.get(a)
@@ -203,7 +214,7 @@ class FriendshipGraph:
             return
         compiled = self._compiled_neighbors(a)
         if compiled.shape[0]:
-            i = int(np.searchsorted(compiled, b))
+            i = int(compiled.searchsorted(b))
             if i < compiled.shape[0] and compiled[i] == b:
                 return
         self._edge_a.append(a)
@@ -234,10 +245,11 @@ class FriendshipGraph:
         """Vectorised :meth:`add_friendships_bulk` over endpoint arrays.
 
         The configuration-model wiring feeds ~190k pairs per paper-scale
-        build; one compile absorbs the whole batch.
+        build; one compile absorbs the whole batch.  A batch with an
+        endpoint outside int32 is rejected whole, like a self-loop.
         """
-        a = np.asarray(a, dtype=np.int64)
-        b = np.asarray(b, dtype=np.int64)
+        a = as_int32(a, "friendship endpoint")
+        b = as_int32(b, "friendship endpoint")
         if a.shape[0] == 0:
             return 0
         if bool(np.any(a == b)):
@@ -315,7 +327,7 @@ class FriendshipGraph:
         compiled = self._compiled_neighbors(a)
         if compiled.shape[0] == 0:
             return False
-        i = int(np.searchsorted(compiled, b))
+        i = int(compiled.searchsorted(b))
         return i < compiled.shape[0] and bool(compiled[i] == b)
 
     def two_hop_neighbors(self, user_id: UserId) -> Set[UserId]:

@@ -1,0 +1,168 @@
+"""Layout pin for the OSN stores that grow with ``--scale``.
+
+Every user id, page id and minute timestamp fits in 32 bits, so the like
+log, its two indexes and the friendship graph hold them as int32.  The
+first class pins the bytes per stored row after a seeded small study;
+the second pins that a value outside int32 is rejected whole instead of
+wrapping.
+"""
+
+import numpy as np
+import pytest
+
+from repro.osn.columns import ColumnIndex
+from repro.osn.events import LikeEvent, LikeLog
+from repro.osn.graph import FriendshipGraph
+from repro.util.validation import ValidationError
+
+TOO_WIDE = 2**31
+
+
+class TestStudyLayout:
+    @pytest.fixture()
+    def network(self, small_artifacts):
+        return small_artifacts.network
+
+    def test_like_log_holds_12_bytes_per_event(self, network):
+        log = network.likes
+        assert len(log) > 0
+        columns = (log._users, log._pages, log._times)
+        assert sum(column.values().nbytes for column in columns) == 12 * len(log)
+
+    def test_each_index_holds_4_bytes_per_row_plus_key_tables(self, network):
+        log = network.likes
+        for index in (log._page_index, log._user_index):
+            assert index._order is not None, "the crawl compiles both indexes"
+            per_key = index._unique.nbytes + index._starts.nbytes
+            arrays = (getattr(index, slot) for slot in ColumnIndex.__slots__)
+            held = sum(a.nbytes for a in arrays if isinstance(a, np.ndarray))
+            assert held == 4 * index._compiled_n + per_key
+            # scalar lookups search the key table with a Python int
+            assert index._unique.dtype == np.int64
+
+    def test_graph_per_edge_arrays_hold_4_bytes_per_element(self, network):
+        graph = network.graph
+        per_row = {
+            "_edge_a": graph._edge_a.values(),
+            "_edge_b": graph._edge_b.values(),
+            "_explicit_nodes": graph._explicit_nodes.values(),
+            "_c_neighbors": graph._c_neighbors,
+            "_c_pair_lo": graph._c_pair_lo,
+            "_c_pair_hi": graph._c_pair_hi,
+        }
+        for name, values in per_row.items():
+            assert values.size > 0, name
+            assert values.nbytes == 4 * values.size, name
+        assert graph._c_nodes.dtype == np.int64
+
+
+def log_lengths(log):
+    return (len(log), len(log._users), len(log._pages), len(log._times))
+
+
+def graph_lengths(graph):
+    return (
+        len(graph._edge_a),
+        len(graph._edge_b),
+        len(graph._explicit_nodes),
+        graph.edge_count,
+        graph.node_count,
+    )
+
+
+def seeded_log():
+    log = LikeLog()
+    log.record_arrays(np.array([1_000_000, 1_000_001]), np.array([9_000_000, 9_000_001]), 5)
+    return log
+
+
+def seeded_graph():
+    graph = FriendshipGraph()
+    graph.add_friendship_arrays(np.array([1_000_000]), np.array([1_000_001]))
+    return graph
+
+
+class TestNarrowingNeverWraps:
+    @pytest.mark.parametrize(
+        "write",
+        [
+            lambda log: log.record_arrays(
+                np.array([1_000_002, TOO_WIDE]), np.array([9_000_000, 9_000_001]), 6
+            ),
+            lambda log: log.record(LikeEvent(user_id=TOO_WIDE, page_id=9_000_000, time=6)),
+            lambda log: log.record_many(TOO_WIDE, [9_000_000, 9_000_001], 6),
+        ],
+        ids=["record_arrays", "record", "record_many"],
+    )
+    def test_user_id(self, write):
+        log = seeded_log()
+        before = log_lengths(log)
+        with pytest.raises(ValidationError, match="user id 2147483648"):
+            write(log)
+        assert log_lengths(log) == before
+
+    @pytest.mark.parametrize(
+        "write",
+        [
+            lambda log: log.record_arrays(
+                np.array([1_000_002]), np.array([9_000_000]), TOO_WIDE
+            ),
+            lambda log: log.record(LikeEvent(user_id=1_000_002, page_id=9_000_000, time=TOO_WIDE)),
+            lambda log: log.record_many(1_000_002, [9_000_000], TOO_WIDE),
+        ],
+        ids=["record_arrays", "record", "record_many"],
+    )
+    def test_time(self, write):
+        log = seeded_log()
+        before = log_lengths(log)
+        with pytest.raises(ValidationError, match="like time 2147483648"):
+            write(log)
+        assert log_lengths(log) == before
+
+    def test_page_id(self):
+        log = seeded_log()
+        before = log_lengths(log)
+        with pytest.raises(ValidationError, match="page id 2147483648"):
+            log.record_arrays(np.array([1_000_002, 1_000_003]), np.array([9_000_000, TOO_WIDE]), 6)
+        assert log_lengths(log) == before
+
+    @pytest.mark.parametrize(
+        "write",
+        [
+            lambda graph: graph.add_friendship_arrays(
+                np.array([1_000_002, 1_000_003]), np.array([1_000_000, TOO_WIDE])
+            ),
+            lambda graph: graph.add_friendship(1_000_000, TOO_WIDE),
+            lambda graph: graph.add_friendship(TOO_WIDE, 1_000_000),
+        ],
+        ids=["add_friendship_arrays", "add_friendship_b", "add_friendship_a"],
+    )
+    def test_edge_endpoint(self, write):
+        graph = seeded_graph()
+        before = graph_lengths(graph)
+        with pytest.raises(ValidationError, match="friendship endpoint 2147483648"):
+            write(graph)
+        assert graph_lengths(graph) == before
+
+    @pytest.mark.parametrize(
+        "write",
+        [
+            lambda graph: graph.add_users_bulk([1_000_002, TOO_WIDE]),
+            lambda graph: graph.add_user(TOO_WIDE),
+        ],
+        ids=["add_users_bulk", "add_user"],
+    )
+    def test_node(self, write):
+        graph = seeded_graph()
+        before = graph_lengths(graph)
+        with pytest.raises(ValidationError, match="user id 2147483648"):
+            write(graph)
+        assert graph_lengths(graph) == before
+
+    def test_int32_bounds_still_fit(self):
+        log = seeded_log()
+        log.record_arrays(np.array([TOO_WIDE - 1]), np.array([9_000_000]), TOO_WIDE - 1)
+        assert log.for_user(TOO_WIDE - 1)[0].time == TOO_WIDE - 1
+        graph = seeded_graph()
+        graph.add_friendship(1_000_000, TOO_WIDE - 1)
+        assert graph.are_friends(TOO_WIDE - 1, 1_000_000)
