@@ -3,36 +3,101 @@
 Each ``render_*`` function returns a string shaped like the corresponding
 paper artefact; :func:`full_report` concatenates all of them.  The benchmark
 harness prints these next to the published values.
+
+The renderers of the analyses the paper's shape checks also read take a
+dataset or a :class:`DatasetAnalyses`, which computes each analysis once;
+give :func:`full_report` the command's
+:class:`~repro.core.results.ExperimentResults` and the report and the
+checks share every result.
 """
 
 from __future__ import annotations
 
-from typing import List
+from dataclasses import dataclass, field
+from functools import cached_property
+from typing import List, Union
 
 from repro.analysis.demographics import (
+    Table2Row,
     country_distribution,
     table2,
 )
 from repro.analysis.economics import render_economics
 from repro.analysis.overlap import render_overlap
-from repro.analysis.likes import like_count_summary
-from repro.analysis.similarity import jaccard_matrices
-from repro.analysis.social import group_graph_stats, provider_social_stats
-from repro.analysis.summary import table1
-from repro.analysis.temporal import classify_strategy, cumulative_series, temporal_profile
+from repro.analysis.likes import LikeCountSummary, like_count_summary
+from repro.analysis.similarity import SimilarityMatrices, jaccard_matrices
+from repro.analysis.social import (
+    ProviderSocialStats,
+    group_graph_stats,
+    provider_social_stats,
+)
+from repro.analysis.summary import Table1Row, table1
+from repro.analysis.temporal import (
+    TemporalProfile,
+    classify_strategy,
+    cumulative_series,
+    temporal_profile,
+)
 from repro.honeypot.storage import HoneypotDataset
 from repro.osn.profile import AGE_BRACKETS
 from repro.util.tables import render_matrix, render_percentage_bars, render_table
 
 
-def render_table1(dataset: HoneypotDataset) -> str:
+@dataclass
+class DatasetAnalyses:
+    """The analyses of one dataset that more than one reader needs, each
+    computed on first use and then kept."""
+
+    dataset: HoneypotDataset
+    _cache: dict = field(default_factory=dict, init=False, repr=False)
+
+    @cached_property
+    def table1(self) -> List[Table1Row]:
+        """Campaign summary (paper Table 1)."""
+        return table1(self.dataset)
+
+    @cached_property
+    def table2(self) -> List[Table2Row]:
+        """Liker demographics (paper Table 2)."""
+        return table2(self.dataset)
+
+    @cached_property
+    def table3(self) -> List[ProviderSocialStats]:
+        """Social statistics per provider (paper Table 3)."""
+        return provider_social_stats(self.dataset)
+
+    @cached_property
+    def figure4(self) -> List[LikeCountSummary]:
+        """Page-like count summaries (paper Figure 4)."""
+        return like_count_summary(self.dataset)
+
+    @cached_property
+    def figure5(self) -> SimilarityMatrices:
+        """Jaccard similarity matrices (paper Figure 5)."""
+        return jaccard_matrices(self.dataset)
+
+    def temporal(self, campaign_id: str) -> TemporalProfile:
+        """Burstiness profile of one campaign (paper Figure 2)."""
+        key = ("temporal", campaign_id)
+        if key not in self._cache:
+            self._cache[key] = temporal_profile(self.dataset, campaign_id)
+        return self._cache[key]
+
+
+def _analyses(source: Union[HoneypotDataset, DatasetAnalyses]) -> DatasetAnalyses:
+    if isinstance(source, DatasetAnalyses):
+        return source
+    return DatasetAnalyses(source)
+
+
+def render_table1(source: Union[HoneypotDataset, DatasetAnalyses]) -> str:
     """Table 1: campaign summary."""
     headers = [
         "Campaign", "Provider", "Location", "Budget",
         "Duration", "Monitoring", "#Likes", "#Terminated",
     ]
     rows = []
-    for row in table1(dataset):
+    for row in _analyses(source).table1:
         rows.append([
             row.campaign_id,
             row.provider,
@@ -58,11 +123,11 @@ def render_figure1(dataset: HoneypotDataset) -> str:
     return "\n\n".join(blocks)
 
 
-def render_table2(dataset: HoneypotDataset) -> str:
+def render_table2(source: Union[HoneypotDataset, DatasetAnalyses]) -> str:
     """Table 2: gender and age statistics of likers."""
     headers = ["Campaign", "%F/%M"] + list(AGE_BRACKETS) + ["KL"]
     rows = []
-    for row in table2(dataset):
+    for row in _analyses(source).table2:
         cells = [row.campaign_id, f"{row.female_pct:.0f}/{row.male_pct:.0f}"]
         cells.extend(f"{row.age_pct[bracket]:.1f}" for bracket in AGE_BRACKETS)
         cells.append("-" if row.campaign_id == "Facebook" else f"{row.kl_divergence:.2f}")
@@ -88,12 +153,15 @@ def render_figure2(dataset: HoneypotDataset, horizon_days: float = 15.0) -> str:
     return render_table(headers, rows, title="Figure 2: cumulative likes over time")
 
 
-def render_strategy_classification(dataset: HoneypotDataset) -> str:
+def render_strategy_classification(
+    source: Union[HoneypotDataset, DatasetAnalyses],
+) -> str:
     """The burst/trickle split the paper infers from Figure 2."""
     headers = ["Campaign", "Likes", "Max 2h window", "Share", "Strategy"]
     rows = []
-    for campaign_id in dataset.campaign_ids():
-        profile = temporal_profile(dataset, campaign_id)
+    analyses = _analyses(source)
+    for campaign_id in analyses.dataset.campaign_ids():
+        profile = analyses.temporal(campaign_id)
         rows.append([
             campaign_id,
             profile.total_likes,
@@ -104,14 +172,14 @@ def render_strategy_classification(dataset: HoneypotDataset) -> str:
     return render_table(headers, rows, title="Delivery strategy classification")
 
 
-def render_table3(dataset: HoneypotDataset) -> str:
+def render_table3(source: Union[HoneypotDataset, DatasetAnalyses]) -> str:
     """Table 3: likers and friendships between likers."""
     headers = [
         "Provider", "#Likers", "#Public lists", "Avg#Friends",
         "Std", "Median", "#Friendships", "#2-hop",
     ]
     rows = []
-    for stats in provider_social_stats(dataset):
+    for stats in _analyses(source).table3:
         rows.append([
             stats.provider,
             stats.n_likers,
@@ -151,11 +219,13 @@ def render_figure3(dataset: HoneypotDataset) -> str:
     return "\n\n".join(blocks)
 
 
-def render_figure4(dataset: HoneypotDataset) -> str:
+def render_figure4(source: Union[HoneypotDataset, DatasetAnalyses]) -> str:
     """Figure 4: page-like count medians per campaign vs baseline."""
     headers = ["Campaign", "Likers", "Median likes", "Mean", "x Baseline"]
     rows = []
-    for row in like_count_summary(dataset):
+    analyses = _analyses(source)
+    summary = analyses.figure4
+    for row in summary:
         rows.append([
             row.campaign_id,
             row.stats.count,
@@ -163,15 +233,17 @@ def render_figure4(dataset: HoneypotDataset) -> str:
             f"{row.stats.mean:.0f}",
             f"{row.median_ratio:.1f}x",
         ])
-    baseline = like_count_summary(dataset)
-    baseline_median = baseline[0].baseline_median if baseline else 0.0
-    rows.append(["Facebook (baseline)", len(dataset.baseline), f"{baseline_median:.0f}", "-", "1.0x"])
+    baseline_median = summary[0].baseline_median if summary else 0.0
+    rows.append([
+        "Facebook (baseline)", len(analyses.dataset.baseline),
+        f"{baseline_median:.0f}", "-", "1.0x",
+    ])
     return render_table(headers, rows, title="Figure 4: page-like counts per liker")
 
 
-def render_figure5(dataset: HoneypotDataset) -> str:
+def render_figure5(source: Union[HoneypotDataset, DatasetAnalyses]) -> str:
     """Figure 5: the two Jaccard similarity matrices (x100)."""
-    matrices = jaccard_matrices(dataset)
+    matrices = _analyses(source).figure5
     page_block = render_matrix(
         matrices.campaign_ids,
         matrices.page_similarity,
@@ -185,18 +257,20 @@ def render_figure5(dataset: HoneypotDataset) -> str:
     return page_block + "\n\n" + user_block
 
 
-def full_report(dataset: HoneypotDataset) -> str:
+def full_report(source: Union[HoneypotDataset, DatasetAnalyses]) -> str:
     """All tables and figures, concatenated."""
+    analyses = _analyses(source)
+    dataset = analyses.dataset
     return "\n\n".join([
-        render_table1(dataset),
+        render_table1(analyses),
         render_figure1(dataset),
-        render_table2(dataset),
+        render_table2(analyses),
         render_figure2(dataset),
-        render_strategy_classification(dataset),
-        render_table3(dataset),
+        render_strategy_classification(analyses),
+        render_table3(analyses),
         render_figure3(dataset),
-        render_figure4(dataset),
-        render_figure5(dataset),
+        render_figure4(analyses),
+        render_figure5(analyses),
         render_overlap(dataset),
         render_economics(dataset),
     ])

@@ -13,9 +13,10 @@ Two 13x13 Jaccard matrices:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Set
+from typing import Dict, List
 
-from repro.analysis.stats import jaccard
+import numpy as np
+
 from repro.honeypot.storage import HoneypotDataset
 
 
@@ -38,25 +39,37 @@ class SimilarityMatrices:
         return self.user_similarity[i][j]
 
 
-def campaign_page_sets(dataset: HoneypotDataset) -> Dict[str, Set[int]]:
-    """Union of pages liked by each campaign's likers."""
-    sets: Dict[str, Set[int]] = {}
+def campaign_page_sets(dataset: HoneypotDataset) -> Dict[str, np.ndarray]:
+    """Union of pages liked by each campaign's likers, as a sorted int32 array."""
+    sets: Dict[str, np.ndarray] = {}
     for campaign_id in dataset.campaign_ids():
-        # repro-lint: allow-DET003 values feed jaccard() set algebra only; matrices index by campaign order
-        pages: Set[int] = set()
-        for liker in dataset.likers_of(campaign_id):
-            pages.update(liker.liked_page_ids)
-        sets[campaign_id] = pages
+        pages = [liker.liked_page_ids for liker in dataset.likers_of(campaign_id)]
+        sets[campaign_id] = (
+            np.unique(np.concatenate(pages)) if pages else np.empty(0, np.int32)
+        )
     return sets
 
 
-def campaign_liker_sets(dataset: HoneypotDataset) -> Dict[str, Set[int]]:
-    """The liker-id set of each campaign."""
+def campaign_liker_sets(dataset: HoneypotDataset) -> Dict[str, np.ndarray]:
+    """The distinct liker ids of each campaign, as a sorted array."""
     return {
-        # repro-lint: allow-DET003 values feed jaccard() set algebra only; matrices index by campaign order
-        campaign_id: set(dataset.campaign(campaign_id).liker_ids)
+        campaign_id: np.unique(
+            np.asarray(dataset.campaign(campaign_id).liker_ids, dtype=np.int64)
+        )
         for campaign_id in dataset.campaign_ids()
     }
+
+
+def _sorted_jaccard(a: np.ndarray, b: np.ndarray) -> float:
+    """:func:`~repro.analysis.stats.jaccard` of two sorted, duplicate-free arrays.
+
+    Both counts are integers, so the ratio is the float the set version
+    gives.
+    """
+    if not a.size and not b.size:
+        return 0.0
+    shared = np.intersect1d(a, b, assume_unique=True).size
+    return shared / (a.size + b.size - shared)
 
 
 def jaccard_matrices(dataset: HoneypotDataset) -> SimilarityMatrices:
@@ -65,11 +78,11 @@ def jaccard_matrices(dataset: HoneypotDataset) -> SimilarityMatrices:
     page_sets = campaign_page_sets(dataset)
     liker_sets = campaign_liker_sets(dataset)
     page_matrix = [
-        [100.0 * jaccard(page_sets[a], page_sets[b]) for b in campaign_ids]
+        [100.0 * _sorted_jaccard(page_sets[a], page_sets[b]) for b in campaign_ids]
         for a in campaign_ids
     ]
     user_matrix = [
-        [100.0 * jaccard(liker_sets[a], liker_sets[b]) for b in campaign_ids]
+        [100.0 * _sorted_jaccard(liker_sets[a], liker_sets[b]) for b in campaign_ids]
         for a in campaign_ids
     ]
     return SimilarityMatrices(

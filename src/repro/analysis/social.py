@@ -66,7 +66,7 @@ def observed_direct_edges(dataset: HoneypotDataset) -> Set[Tuple[int, int]]:
     # repro-lint: allow-DET003 consumers aggregate order-free (sum of indicator counts, nx component census)
     edges: Set[Tuple[int, int]] = set()
     for liker in dataset.likers.values():
-        for friend in liker.visible_friend_ids:
+        for friend in liker.visible_friend_ids.tolist():
             if friend in liker_ids and friend != liker.user_id:
                 a, b = sorted((liker.user_id, friend))
                 edges.add((a, b))
@@ -82,7 +82,7 @@ def observed_mutual_friend_pairs(dataset: HoneypotDataset) -> Set[Tuple[int, int
     """
     index: Dict[int, List[int]] = defaultdict(list)
     for liker in dataset.likers.values():
-        for friend in liker.visible_friend_ids:
+        for friend in liker.visible_friend_ids.tolist():
             if friend != liker.user_id:
                 index[friend].append(liker.user_id)
     # repro-lint: allow-DET003 consumers aggregate order-free (sum of indicator counts, nx component census)

@@ -287,7 +287,7 @@ def cmd_run(args: argparse.Namespace) -> int:
               f"{stats.breaker_trips} breaker trips")
     if args.report:
         print()
-        print(full_report(dataset))
+        print(full_report(results))
     failures = [c for c in results.shape_checks() if not c.passed]
     for check in failures:
         print(f"shape check FAILED: {check.name} ({check.detail})")
@@ -347,27 +347,21 @@ def _run_sharded(args: argparse.Namespace) -> int:
               f"{checkpoint.get('journal_records_replayed', 0)} journal "
               f"records replay-verified, "
               f"{checkpoint.get('journal_records_written', 0)} written")
+    results = ExperimentResults(dataset=dataset, sharded_execution=True)
     if args.report:
         print()
-        print(full_report(dataset))
+        print(full_report(results))
     if result.quarantined:
         return 4
-    failures = [
-        c
-        for c in ExperimentResults(
-            dataset=dataset, sharded_execution=True
-        ).shape_checks()
-        if not c.passed
-    ]
+    failures = [c for c in results.shape_checks() if not c.passed]
     for check in failures:
         print(f"shape check FAILED: {check.name} ({check.detail})")
     return 1 if failures else 0
 
 
 def cmd_report(args: argparse.Namespace) -> int:
-    dataset = HoneypotDataset.from_jsonl(args.dataset)
-    print(full_report(dataset))
-    results = ExperimentResults(dataset=dataset)
+    results = ExperimentResults(dataset=HoneypotDataset.from_jsonl(args.dataset))
+    print(full_report(results))
     print()
     print("Shape checks:")
     for check in results.shape_checks():

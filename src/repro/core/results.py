@@ -8,24 +8,17 @@ harness prints them; integration tests assert them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
 from typing import Dict, List
 
-from repro.analysis.demographics import Table2Row, country_distribution, table2
-from repro.analysis.likes import LikeCountSummary, like_count_summary
-from repro.analysis.similarity import SimilarityMatrices, jaccard_matrices
-from repro.analysis.social import ProviderSocialStats, provider_social_stats
-from repro.analysis.summary import Table1Row, table1
+from repro.analysis.demographics import country_distribution
+from repro.analysis.report import DatasetAnalyses
 from repro.analysis.temporal import (
     STRATEGY_BURST,
     STRATEGY_TRICKLE,
-    TemporalProfile,
     classify_strategy,
-    temporal_profile,
 )
 from repro.core import paperdata
-from repro.honeypot.storage import HoneypotDataset
 
 
 @dataclass(frozen=True)
@@ -38,8 +31,12 @@ class ShapeCheck:
 
 
 @dataclass
-class ExperimentResults:
+class ExperimentResults(DatasetAnalyses):
     """All analyses over one study's dataset, computed lazily.
+
+    The analyses themselves, cached, come from
+    :class:`~repro.analysis.report.DatasetAnalyses`, so the report can
+    render from the same object its shape checks read.
 
     ``sharded_execution`` declares the dataset was produced by
     ``repro.shard`` (``--jobs``), where each campaign runs in an isolated
@@ -50,41 +47,7 @@ class ExperimentResults:
     skipped rather than failed.
     """
 
-    dataset: HoneypotDataset
     sharded_execution: bool = False
-    _cache: dict = field(default_factory=dict, repr=False)
-
-    @cached_property
-    def table1(self) -> List[Table1Row]:
-        """Campaign summary (paper Table 1)."""
-        return table1(self.dataset)
-
-    @cached_property
-    def table2(self) -> List[Table2Row]:
-        """Liker demographics (paper Table 2)."""
-        return table2(self.dataset)
-
-    @cached_property
-    def table3(self) -> List[ProviderSocialStats]:
-        """Social statistics per provider (paper Table 3)."""
-        return provider_social_stats(self.dataset)
-
-    @cached_property
-    def figure4(self) -> List[LikeCountSummary]:
-        """Page-like count summaries (paper Figure 4)."""
-        return like_count_summary(self.dataset)
-
-    @cached_property
-    def figure5(self) -> SimilarityMatrices:
-        """Jaccard similarity matrices (paper Figure 5)."""
-        return jaccard_matrices(self.dataset)
-
-    def temporal(self, campaign_id: str) -> TemporalProfile:
-        """Burstiness profile of one campaign (paper Figure 2)."""
-        key = ("temporal", campaign_id)
-        if key not in self._cache:
-            self._cache[key] = temporal_profile(self.dataset, campaign_id)
-        return self._cache[key]
 
     # -- shape checks -------------------------------------------------------------
 

@@ -20,7 +20,10 @@ from typing import (
     get_origin, get_type_hints,
 )
 
+import numpy as np
+
 from repro import failpoints
+from repro.osn.columns import as_int32
 from repro.util.durable import fsync_dir, fsync_handle
 
 
@@ -64,7 +67,7 @@ def write_jsonl_rows(path: Path, rows: Iterable[Dict], tag: str = "dataset") -> 
         raise
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LikeObservation:
     """A like first observed by the monitor at ``observed_at``."""
 
@@ -72,7 +75,7 @@ class LikeObservation:
     user_id: int
 
 
-@dataclass
+@dataclass(slots=True)
 class CampaignRecord:
     """Everything the study recorded about one campaign."""
 
@@ -101,14 +104,38 @@ class CampaignRecord:
 CRAWL_COMPLETE = "complete"
 CRAWL_PARTIAL = "partial"
 
+#: The one array every empty id field of every record holds.
+_NO_IDS = np.empty(0, dtype=np.int32)
+_NO_IDS.flags.writeable = False
 
-@dataclass
+
+def _frozen_ids(values, what: str) -> np.ndarray:
+    """``values`` as a read-only int32 array; an int32 array is adopted."""
+    ids = as_int32(values, what)
+    if ids.shape[0] == 0:
+        return _NO_IDS
+    ids.flags.writeable = False
+    return ids
+
+
+@dataclass(eq=False, slots=True)
 class LikerRecord:
     """Crawled public information about one liker.
 
     ``declared_friend_count`` and ``visible_friend_ids`` are None/empty when
     the friend list was private — the crawler's censoring, kept explicit so
     analyses treat friend data as the lower bound the paper says it is.
+
+    ``visible_friend_ids`` and ``liked_page_ids`` are read-only int32
+    arrays, ascending as the API returns them.  The constructor converts
+    a list and rejects an id outside int32 with
+    :class:`~repro.util.validation.ValidationError`; an int32 array is
+    kept without a copy and made read-only, and every empty field holds
+    one shared empty array.  A paper-scale liker has about 115 liked
+    pages, so one array per field (a 112-byte header) comes to about
+    5 bytes per id, where a list of Python ints takes 36 (an 8-byte
+    pointer and a 28-byte int object each).  Records compare equal when
+    their :func:`record_fields` rows do.
 
     ``crawl_status`` is ``"complete"`` when every endpoint answered and
     ``"partial"`` when some crawl requests failed permanently;
@@ -125,13 +152,22 @@ class LikerRecord:
     country: str
     friend_list_public: bool
     declared_friend_count: Optional[int]
-    visible_friend_ids: List[int] = field(default_factory=list)
-    liked_page_ids: List[int] = field(default_factory=list)
+    visible_friend_ids: np.ndarray = field(default_factory=lambda: _NO_IDS)
+    liked_page_ids: np.ndarray = field(default_factory=lambda: _NO_IDS)
     declared_like_count: int = 0
     campaign_ids: List[str] = field(default_factory=list)
     terminated: bool = False
     crawl_status: str = CRAWL_COMPLETE
     failed_fields: List[str] = field(default_factory=list)
+
+    def __post_init__(self) -> None:
+        self.visible_friend_ids = _frozen_ids(self.visible_friend_ids, "friend id")
+        self.liked_page_ids = _frozen_ids(self.liked_page_ids, "page id")
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, LikerRecord):
+            return NotImplemented
+        return record_fields(self) == record_fields(other)
 
     @property
     def has_friend_data(self) -> bool:
@@ -144,7 +180,7 @@ class LikerRecord:
         return "likes" not in self.failed_fields
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BaselineRecord:
     """One user of the random baseline sample (paper Section 4.4)."""
 
@@ -155,14 +191,17 @@ class BaselineRecord:
 def _field_plan(cls: type) -> Tuple[Tuple[str, str], ...]:
     """``(name, copy)`` per field of record class ``cls``, in declaration order.
 
-    ``copy`` comes from the declared field type: ``"list"`` for a list of
-    scalars, ``"records"`` for a list of records, ``"share"`` otherwise.
+    ``copy`` comes from the declared field type: ``"array"`` for an id
+    array, ``"list"`` for a list of scalars, ``"records"`` for a list of
+    records, ``"share"`` otherwise.
     """
     hints = get_type_hints(cls)
     plan = []
     for spec in fields(cls):
         hint = hints[spec.name]
-        if get_origin(hint) is list:
+        if hint is np.ndarray:
+            copy = "array"
+        elif get_origin(hint) is list:
             copy = "records" if is_dataclass(get_args(hint)[0]) else "list"
         else:
             copy = "share"
@@ -179,18 +218,22 @@ _FIELD_PLANS = {
 def record_fields(record: Any) -> Dict[str, Any]:
     """One dataset record as a row dict: the row format of every sink.
 
-    Equal to ``dataclasses.asdict(record)``, key order included, but
-    shallow: list fields are copied with ``list()`` (so no row aliases
-    its record) and a list of records (a campaign's observations) is
-    encoded item by item, while scalars are shared — they are immutable,
-    so ``asdict``'s per-element ``deepcopy`` bought nothing but time.
+    Equal to ``dataclasses.asdict(record)`` with each id array as a list
+    of Python ints, key order included, but shallow: list fields are
+    copied with ``list()`` (so no row aliases its record), id arrays
+    with ``tolist()``, and a list of records (a campaign's observations)
+    is encoded item by item, while scalars are shared — they are
+    immutable, so ``asdict``'s per-element ``deepcopy`` bought nothing
+    but time.
     The dataset JSONL, the store export and the checkpoint journal all
     build their rows here, so their formats cannot drift apart.
     """
     row = {}
     for name, copy in _FIELD_PLANS[type(record)]:
         value = getattr(record, name)
-        if copy == "list":
+        if copy == "array":
+            value = value.tolist()
+        elif copy == "list":
             value = list(value)
         elif copy == "records":
             value = [record_fields(item) for item in value]
@@ -349,11 +392,14 @@ def apply_row(dataset: HoneypotDataset, row: Dict, source: str = "<row>") -> Non
 
     Raises :class:`ValueError` naming ``source`` (``file:line`` when read
     from disk) when the record type is unknown or its fields do not match
-    the record schema — a structurally corrupt row fails loudly instead of
-    surfacing as a bare ``TypeError`` deep in a dataclass constructor.
+    the record schema, an id included that does not fit in int32 — a
+    structurally corrupt row fails loudly instead of surfacing as a bare
+    ``TypeError`` deep in a dataclass constructor.
     """
     row = dict(row)
     kind = row.pop("type", None)
+    if kind not in ("meta", "campaign", "liker", "baseline"):
+        raise ValueError(f"{source}: unknown record type {kind!r}")
     try:
         if kind == "meta":
             dataset.global_gender = row["global_gender"]
@@ -368,11 +414,9 @@ def apply_row(dataset: HoneypotDataset, row: Dict, source: str = "<row>") -> Non
         elif kind == "liker":
             liker = LikerRecord(**row)
             dataset.likers[liker.user_id] = liker
-        elif kind == "baseline":
-            dataset.baseline.append(BaselineRecord(**row))
         else:
-            raise ValueError(f"{source}: unknown record type {kind!r}")
-    except (TypeError, KeyError) as error:
+            dataset.baseline.append(BaselineRecord(**row))
+    except (TypeError, KeyError, ValueError) as error:
         raise ValueError(
             f"{source}: malformed {kind!r} record ({error})"
         ) from error

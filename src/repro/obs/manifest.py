@@ -4,6 +4,9 @@
 the run well enough to compare against any other run:
 
 * identity — seed, scale, a fingerprint of the configuration;
+* runtime — the Python and NumPy versions that ran it (the seeded
+  streams are NumPy ``Generator`` output, which NumPy does not promise
+  to keep across releases);
 * extent — wall seconds (machine-dependent) and virtual minutes
   (deterministic);
 * the full deterministic metrics sections (counters, gauges) and the
@@ -12,15 +15,18 @@ the run well enough to compare against any other run:
 
 The determinism contract: two runs with the same seed and configuration
 produce byte-identical ``counters``/``gauges`` sections (pinned by
-``tests/test_metrics_manifest.py``); ``wall_seconds`` and ``timings``
-are explicitly outside it.
+``tests/test_metrics_manifest.py``); ``runtime``, ``wall_seconds`` and
+``timings`` are explicitly outside it.
 """
 
 from __future__ import annotations
 
 import hashlib
+import platform
 from pathlib import Path
 from typing import Dict
+
+import numpy as np
 
 from repro.obs.metrics import MetricsRegistry
 from repro.util.durable import atomic_write_json
@@ -75,6 +81,7 @@ def build_manifest(
         "seed": getattr(config, "seed", None),
         "scale": getattr(config, "scale", None),
         "config_hash": config_fingerprint(config),
+        "runtime": {"python": platform.python_version(), "numpy": np.__version__},
         "wall_seconds": round(wall_seconds, 3),
         "virtual_minutes": int(virtual_minutes),
         "counters": snapshot["counters"],

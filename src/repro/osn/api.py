@@ -12,7 +12,9 @@ weeks plus ~6k profiles).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Protocol
+from typing import Optional, Protocol
+
+import numpy as np
 
 from repro.obs.metrics import MetricsRegistry
 from repro.osn.ids import PageId, UserId
@@ -150,11 +152,11 @@ class ReadEndpoints(Protocol):
 
     def get_profile(self, user_id: UserId) -> Optional[PublicProfile]: ...
 
-    def get_friend_list(self, user_id: UserId) -> Optional[List[int]]: ...
+    def get_friend_list(self, user_id: UserId) -> Optional[np.ndarray]: ...
 
     def get_declared_friend_count(self, user_id: UserId) -> Optional[int]: ...
 
-    def get_page_likes(self, user_id: UserId) -> Optional[List[int]]: ...
+    def get_page_likes(self, user_id: UserId) -> Optional[np.ndarray]: ...
 
     def get_declared_like_count(self, user_id: UserId) -> Optional[int]: ...
 
@@ -205,8 +207,9 @@ class PlatformAPI:
             friend_list_public=profile.friend_list_public,
         )
 
-    def get_friend_list(self, user_id: UserId) -> Optional[List[int]]:
-        """The friend list if public, else None (private or terminated)."""
+    def get_friend_list(self, user_id: UserId) -> Optional[np.ndarray]:
+        """The friend list as a sorted int32 array if public, else None
+        (private or terminated)."""
         self._charge("friend_list")
         if not self.network.has_user(user_id):
             return None
@@ -216,7 +219,9 @@ class PlatformAPI:
         friends = self.network.privacy.visible_friends(
             profile, self.network.graph.neighbors(user_id)
         )
-        return sorted(int(f) for f in friends)
+        ids = np.fromiter(friends, dtype=np.int32, count=len(friends))
+        ids.sort()
+        return ids
 
     def get_declared_friend_count(self, user_id: UserId) -> Optional[int]:
         """The count shown on a public friend list, else None when gone."""
@@ -228,8 +233,9 @@ class PlatformAPI:
             return None
         return self.network.declared_friend_count(user_id)
 
-    def get_page_likes(self, user_id: UserId) -> Optional[List[int]]:
-        """Pages the user likes (public in 2014), else None when gone."""
+    def get_page_likes(self, user_id: UserId) -> Optional[np.ndarray]:
+        """Pages the user likes (public in 2014) as a sorted int32 array,
+        else None when gone."""
         self._charge("page_likes")
         if not self.network.has_user(user_id):
             return None

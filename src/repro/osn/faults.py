@@ -37,7 +37,9 @@ Determinism contract
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
+
+import numpy as np
 
 from repro.osn.api import PlatformAPI, PublicPage, PublicProfile, RequestStats
 from repro.osn.ids import PageId, UserId
@@ -261,7 +263,11 @@ class FaultyPlatformAPI:
             metrics.inc(f"osn.endpoint.{endpoint}.faults_injected")
             raise CrawlTimeout(f"{endpoint} timed out")
         edge += profile.truncation_rate
-        if draw < edge and endpoint in _LIST_ENDPOINTS and result:
+        if (
+            draw < edge
+            and endpoint in _LIST_ENDPOINTS
+            and (isinstance(result, PublicPage) or (result is not None and len(result)))
+        ):
             truncated = self._truncate(endpoint, result)
             stats.truncated += 1
             metrics.inc(f"osn.endpoint.{endpoint}.faults_injected")
@@ -275,7 +281,7 @@ class FaultyPlatformAPI:
         result = self._inner.get_profile(user_id)
         return self._maybe_fault("get_profile", result, user_id)
 
-    def get_friend_list(self, user_id: UserId) -> Optional[List[int]]:
+    def get_friend_list(self, user_id: UserId) -> Optional[np.ndarray]:
         """The public friend list, subject to injected faults."""
         result = self._inner.get_friend_list(user_id)
         return self._maybe_fault("get_friend_list", result, user_id)
@@ -285,7 +291,7 @@ class FaultyPlatformAPI:
         result = self._inner.get_declared_friend_count(user_id)
         return self._maybe_fault("get_declared_friend_count", result, user_id)
 
-    def get_page_likes(self, user_id: UserId) -> Optional[List[int]]:
+    def get_page_likes(self, user_id: UserId) -> Optional[np.ndarray]:
         """The liked-page list, subject to injected faults."""
         result = self._inner.get_page_likes(user_id)
         return self._maybe_fault("get_page_likes", result, user_id)

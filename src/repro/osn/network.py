@@ -499,18 +499,19 @@ class SocialNetwork:
         # repro-lint: allow-DET003 defensive copy; PlatformAPI.get_page_likes sorts before serializing
         return {page_id for page_id, count in liked.items() if count > 0}
 
-    def user_liked_page_ids_sorted(self, user_id: UserId) -> List[int]:
-        """Ascending page-id list of ``user_id``'s current likes.
+    def user_liked_page_ids_sorted(self, user_id: UserId) -> np.ndarray:
+        """Ascending int32 page-id array of ``user_id``'s current likes.
 
-        What :meth:`repro.osn.api.PlatformAPI.get_page_likes` serialises;
-        equivalent to ``sorted(user_liked_page_ids(...))`` but skips the
-        set materialisation when the user has no removals (the common
-        case: one ``np.sort`` over the user's page-id column slice).
+        What :meth:`repro.osn.api.PlatformAPI.get_page_likes` returns;
+        equal to ``sorted(user_liked_page_ids(...))`` but skips the set
+        materialisation when the user has no removals (the common case:
+        one ``np.sort`` over the user's page-id column slice).  The array
+        is freshly allocated, never a view of the like log.
         """
         require(self.has_user(user_id), f"unknown user {user_id}")
         if self.likes.user_removal_count(user_id) == 0:
-            return np.sort(self.likes.user_page_ids_array(user_id)).tolist()
-        return sorted(int(p) for p in self.user_liked_page_ids(user_id))
+            return np.sort(self.likes.user_page_ids_array(user_id))
+        return np.array(sorted(self.user_liked_page_ids(user_id)), dtype=np.int32)
 
     def user_like_count(self, user_id: UserId) -> int:
         """How many pages ``user_id`` likes inside the simulated universe."""

@@ -27,7 +27,9 @@ retries, so a fault-free run consumes no randomness here at all.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, TypeVar
+from typing import Callable, Dict, Optional, TypeVar
+
+import numpy as np
 
 from repro.osn.api import PublicPage, PublicProfile, RequestStats
 from repro.osn.faults import (
@@ -297,7 +299,7 @@ class ResilientAPI:
         """Public profile fields, with retries."""
         return self._call("get_profile", lambda: self._inner.get_profile(user_id))
 
-    def get_friend_list(self, user_id: UserId) -> Optional[List[int]]:
+    def get_friend_list(self, user_id: UserId) -> Optional[np.ndarray]:
         """The public friend list, with retries (may be a partial prefix)."""
         return self._call(
             "get_friend_list", lambda: self._inner.get_friend_list(user_id)
@@ -310,7 +312,7 @@ class ResilientAPI:
             lambda: self._inner.get_declared_friend_count(user_id),
         )
 
-    def get_page_likes(self, user_id: UserId) -> Optional[List[int]]:
+    def get_page_likes(self, user_id: UserId) -> Optional[np.ndarray]:
         """The liked-page list, with retries (may be a partial prefix)."""
         return self._call(
             "get_page_likes", lambda: self._inner.get_page_likes(user_id)

@@ -38,7 +38,9 @@ value is the max across shards.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
+
+import numpy as np
 
 from repro.honeypot.storage import (
     BaselineRecord,
@@ -73,22 +75,43 @@ class MergedRun:
     degraded_section: Optional[Dict] = None
 
 
-def _remapper(floor: int, index: int) -> Callable[[int], int]:
-    """The id relocation for one shard: identity below the floor."""
-    base = floor + index * STRIDE
+class _Remapper:
+    """The id relocation for one shard: identity below the floor.
 
-    def remap(user_id: int) -> int:
-        if user_id < floor:
+    Calling it maps one id; :meth:`ids` maps an id array by the same rule.
+    """
+
+    __slots__ = ("_floor", "_index", "_base")
+
+    def __init__(self, floor: int, index: int) -> None:
+        self._floor = floor
+        self._index = index
+        self._base = floor + index * STRIDE
+
+    def _overflow(self, offset: int) -> ShardMergeError:
+        return ShardMergeError(
+            f"shard index {self._index} allocated {offset + 1} dynamic users, "
+            f"exceeding the merge id stride {STRIDE}"
+        )
+
+    def __call__(self, user_id: int) -> int:
+        if user_id < self._floor:
             return user_id
-        offset = user_id - floor
+        offset = user_id - self._floor
         if offset >= STRIDE:
-            raise ShardMergeError(
-                f"shard index {index} allocated {offset + 1} dynamic users, "
-                f"exceeding the merge id stride {STRIDE}"
-            )
-        return base + offset
+            raise self._overflow(offset)
+        return self._base + offset
 
-    return remap
+    def ids(self, user_ids: np.ndarray) -> np.ndarray:
+        """``user_ids`` relocated; the array itself when none is dynamic."""
+        offsets = user_ids.astype(np.int64) - self._floor
+        dynamic = offsets >= 0
+        if not dynamic.any():
+            return user_ids
+        over = offsets >= STRIDE
+        if over.any():
+            raise self._overflow(int(offsets[over][0]))
+        return np.where(dynamic, self._base + offsets, user_ids)
 
 
 def merge_shards(
@@ -122,7 +145,7 @@ def merge_shards(
     merged = HoneypotDataset()
     for shard in ok:
         dataset, _ = completed[shard.shard_id]
-        remap = _remapper(floor, shard.index)
+        remap = _Remapper(floor, shard.index)
         for campaign_id in shard.campaign_ids:
             if campaign_id not in dataset.campaigns:
                 raise ShardMergeError(
@@ -138,7 +161,7 @@ def merge_shards(
             "run would have no baseline or global demographics"
         )
     primary_dataset, _ = completed[primary.shard_id]
-    primary_remap = _remapper(floor, primary.index)
+    primary_remap = _Remapper(floor, primary.index)
     merged.baseline = [
         BaselineRecord(
             user_id=primary_remap(record.user_id),
@@ -166,7 +189,7 @@ def _merge_campaign(
     merged: HoneypotDataset,
     dataset: HoneypotDataset,
     campaign_id: str,
-    remap: Callable[[int], int],
+    remap: _Remapper,
 ) -> None:
     record = dataset.campaigns[campaign_id]
     merged.campaigns[campaign_id] = replace(
@@ -187,8 +210,7 @@ def _merge_campaign(
             merged.likers[new_id] = replace(
                 liker,
                 user_id=new_id,
-                visible_friend_ids=[remap(f) for f in liker.visible_friend_ids],
-                liked_page_ids=list(liker.liked_page_ids),
+                visible_friend_ids=remap.ids(liker.visible_friend_ids),
                 campaign_ids=[campaign_id],
                 failed_fields=list(liker.failed_fields),
             )

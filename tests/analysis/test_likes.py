@@ -13,6 +13,7 @@ from repro.analysis.similarity import (
     campaign_page_sets,
     jaccard_matrices,
 )
+from repro.analysis.stats import jaccard
 
 
 class TestLikeCounts:
@@ -97,6 +98,20 @@ class TestSimilarity:
         matrices = jaccard_matrices(small_dataset)
         assert matrices.page_value("BL-ALL", "FB-IND") == 0.0
         assert matrices.user_value("MS-ALL", "MS-USA") == 0.0
+
+    def test_matrices_equal_the_set_jaccard(self, small_dataset):
+        """The array Jaccard gives exactly the floats of the set reference."""
+        matrices = jaccard_matrices(small_dataset)
+        ids = small_dataset.campaign_ids()
+        pages = {
+            c: {p for liker in small_dataset.likers_of(c) for p in liker.liked_page_ids.tolist()}
+            for c in ids
+        }
+        likers = {c: set(small_dataset.campaign(c).liker_ids) for c in ids}
+        for i, a in enumerate(ids):
+            for j, b in enumerate(ids):
+                assert matrices.page_similarity[i][j] == 100.0 * jaccard(pages[a], pages[b])
+                assert matrices.user_similarity[i][j] == 100.0 * jaccard(likers[a], likers[b])
 
     def test_page_sets_exclude_nothing(self, small_dataset):
         page_sets = campaign_page_sets(small_dataset)

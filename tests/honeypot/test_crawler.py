@@ -35,9 +35,9 @@ class TestCrawlLiker:
 
         record = ProfileCrawler(net).crawl_liker(user.user_id, ["C1"])
         assert record.friend_list_public
-        assert record.visible_friend_ids == [friend.user_id]
+        assert record.visible_friend_ids.tolist() == [friend.user_id]
         assert record.declared_friend_count == 11
-        assert record.liked_page_ids == [page.page_id]
+        assert record.liked_page_ids.tolist() == [page.page_id]
         assert record.declared_like_count == 100
         assert record.campaign_ids == ["C1"]
         assert record.gender == "F"
@@ -49,7 +49,7 @@ class TestCrawlLiker:
         net.add_friendship(user.user_id, friend.user_id)
         record = ProfileCrawler(net).crawl_liker(user.user_id, [])
         assert not record.friend_list_public
-        assert record.visible_friend_ids == []
+        assert record.visible_friend_ids.tolist() == []
         assert record.declared_friend_count is None
         # demographics still available via the insights reports
         assert record.country == "US"
@@ -59,7 +59,7 @@ class TestCrawlLiker:
         page = net.create_page("P")
         net.like_page(user.user_id, page.page_id, time=0)
         record = ProfileCrawler(net).crawl_liker(user.user_id, [])
-        assert record.liked_page_ids == [page.page_id]
+        assert record.liked_page_ids.tolist() == [page.page_id]
 
     def test_crawl_likers_batch(self, net):
         users = [make_user(net) for _ in range(3)]
@@ -131,11 +131,11 @@ class TestGracefulDegradation:
         assert record.failed_fields == ["friends"]
         assert not record.has_friend_data
         assert not record.friend_list_public  # unknown, not claimed public
-        assert record.visible_friend_ids == []
+        assert record.visible_friend_ids.tolist() == []
         assert record.declared_friend_count is None
         # the like crawl still succeeded
         assert record.has_like_data
-        assert record.liked_page_ids == [page.page_id]
+        assert record.liked_page_ids.tolist() == [page.page_id]
         # demographics always survive: they come from the insights view
         assert record.gender == "F" and record.country == "US"
 

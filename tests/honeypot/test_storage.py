@@ -204,6 +204,17 @@ class TestJsonlRobustness:
         with pytest.raises(ValueError, match=r"partial\.jsonl:2: malformed 'liker'"):
             HoneypotDataset.from_jsonl(path)
 
+    @pytest.mark.parametrize("ids", ["5", '["x"]', "[[1, 2]]"])
+    def test_id_field_not_a_list_of_ids_names_line(self, tmp_path, ids):
+        path = tmp_path / "ids.jsonl"
+        path.write_text('{"type": "liker", "user_id": 7, "gender": "F", '
+                        '"age_bracket": "18-24", "country": "US", '
+                        '"friend_list_public": false, '
+                        '"declared_friend_count": null, '
+                        f'"liked_page_ids": {ids}}}\n')
+        with pytest.raises(ValueError, match=r"ids\.jsonl:1: malformed 'liker'"):
+            HoneypotDataset.from_jsonl(path)
+
 
 class TestDurability:
     def test_to_jsonl_fsyncs_file_and_directory(self, tmp_path):

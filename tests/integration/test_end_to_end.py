@@ -40,7 +40,7 @@ class TestCrossCutting:
         for liker in small_dataset.likers.values():
             if not liker.friend_list_public:
                 assert liker.declared_friend_count is None
-                assert liker.visible_friend_ids == []
+                assert liker.visible_friend_ids.tolist() == []
 
     def test_friend_medians_ordering_matches_table3(self, small_dataset):
         """Paper Table 3 median friends: BL 850 > AL 343 > SF 155 > MS 68."""

@@ -46,7 +46,7 @@ class TestProfileEndpoints:
     def test_friend_list_respects_privacy(self, world):
         net, public, private, _ = world
         api = PlatformAPI(net)
-        assert api.get_friend_list(public.user_id) == [int(private.user_id)]
+        assert api.get_friend_list(public.user_id).tolist() == [int(private.user_id)]
         assert api.get_friend_list(private.user_id) is None
 
     def test_declared_friend_count(self, world):
@@ -84,7 +84,7 @@ class TestProfileEndpoints:
     def test_page_likes_and_count(self, world):
         net, public, _, page = world
         api = PlatformAPI(net)
-        assert api.get_page_likes(public.user_id) == [int(page.page_id)]
+        assert api.get_page_likes(public.user_id).tolist() == [int(page.page_id)]
         assert api.get_declared_like_count(public.user_id) == 6
 
     def test_terminated_likes_gone(self, world):

@@ -1,15 +1,19 @@
-"""Layout pin for the OSN stores that grow with ``--scale``.
+"""Layout pin for the stores that grow with ``--scale``.
 
 Every user id, page id and minute timestamp fits in 32 bits, so the like
-log, its two indexes and the friendship graph hold them as int32.  The
-first class pins the bytes per stored row after a seeded small study;
-the second pins that a value outside int32 is rejected whole instead of
-wrapping.
+log, its two indexes, the friendship graph and the crawled liker records
+hold them as int32.  The layout classes pin the bytes per stored row
+after a seeded small study; the never-wrap classes pin that a value
+outside int32 is rejected whole instead of wrapping.
 """
+
+import json
+import sys
 
 import numpy as np
 import pytest
 
+from repro.honeypot.storage import HoneypotDataset, LikerRecord, record_fields
 from repro.osn.columns import ColumnIndex
 from repro.osn.events import LikeEvent, LikeLog
 from repro.osn.graph import FriendshipGraph
@@ -166,3 +170,73 @@ class TestNarrowingNeverWraps:
         graph = seeded_graph()
         graph.add_friendship(1_000_000, TOO_WIDE - 1)
         assert graph.are_friends(TOO_WIDE - 1, 1_000_000)
+
+
+def id_arrays(dataset):
+    return [
+        ids
+        for liker in dataset.likers.values()
+        for ids in (liker.visible_friend_ids, liker.liked_page_ids)
+    ]
+
+
+class TestCrawledRecordLayout:
+    def test_id_arrays_are_read_only_int32(self, small_dataset):
+        arrays = id_arrays(small_dataset)
+        assert arrays
+        for ids in arrays:
+            assert ids.dtype == np.int32
+            assert not ids.flags.writeable
+            # owns its data: no record keeps a larger array alive
+            assert ids.base is None
+
+    def test_under_8_bytes_per_id_headers_included(self, small_dataset):
+        arrays = id_arrays(small_dataset)
+        count = sum(ids.size for ids in arrays)
+        assert count > 0
+        # every empty field holds the same array, so count each array once
+        held = sum(sys.getsizeof(ids) for ids in {id(a): a for a in arrays}.values())
+        assert held < 8 * count
+
+
+def liker_record(**ids):
+    return LikerRecord(
+        user_id=1_000_000,
+        gender="F",
+        age_bracket="18-24",
+        country="US",
+        friend_list_public=True,
+        declared_friend_count=2,
+        **ids,
+    )
+
+
+class TestCrawledRecordsNeverWrap:
+    @pytest.mark.parametrize(
+        "field, what",
+        [("liked_page_ids", "page id"), ("visible_friend_ids", "friend id")],
+    )
+    def test_record_refuses_id(self, field, what):
+        with pytest.raises(ValidationError, match=f"{what} 2147483648"):
+            liker_record(**{field: [1_000_001, TOO_WIDE]})
+
+    def test_from_jsonl_names_file_and_line(self, tmp_path):
+        row = {"type": "liker", **record_fields(liker_record(liked_page_ids=[9_000_000]))}
+        wide = {**row, "user_id": 1_000_001, "liked_page_ids": [9_000_000, TOO_WIDE]}
+        path = tmp_path / "wide.jsonl"
+        path.write_text(json.dumps(row) + "\n" + json.dumps(wide) + "\n")
+        with pytest.raises(
+            ValueError, match=r"wide\.jsonl:2: malformed 'liker' record \(page id 2147483648"
+        ):
+            HoneypotDataset.from_jsonl(path)
+
+    def test_int32_bounds_still_fit(self, tmp_path):
+        record = liker_record(
+            visible_friend_ids=[TOO_WIDE - 1], liked_page_ids=[-(2**31), TOO_WIDE - 1]
+        )
+        assert record.visible_friend_ids.tolist() == [TOO_WIDE - 1]
+        assert record.liked_page_ids.tolist() == [-(2**31), TOO_WIDE - 1]
+        dataset = HoneypotDataset(likers={record.user_id: record})
+        path = tmp_path / "bounds.jsonl"
+        dataset.to_jsonl(path)
+        assert HoneypotDataset.from_jsonl(path).likers == dataset.likers

@@ -3,6 +3,8 @@
 Covers the tentpole end to end at CLI level, the way CI runs it:
 
 * the chaos smoke with ``--metrics`` emits a parseable manifest;
+* the manifest names the Python and NumPy versions that made it, outside
+  the deterministic sections;
 * two runs with the same seed produce byte-identical deterministic
   sections (counters, gauges, config hash, virtual minutes, dataset);
 * a different seed produces different counters (the hash covers the seed);
@@ -15,7 +17,9 @@ Covers the tentpole end to end at CLI level, the way CI runs it:
 from __future__ import annotations
 
 import json
+import platform
 
+import numpy as np
 import pytest
 
 from repro.analysis.summary import run_health
@@ -57,6 +61,15 @@ class TestCliManifest:
         # The chaos profile injects faults, so the resilient layer shows up.
         assert manifest["counters"]["osn.resilience.retries"] > 0
         assert manifest["dataset"]["campaigns"] == 13
+
+    def test_manifest_records_the_runtime(self, tmp_path):
+        manifest = _run_cli(tmp_path, seed=5, name="runtime", chaos=False)
+        assert manifest["runtime"] == {
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+        }
+        # Like wall_seconds, the runtime is not part of the identity contract.
+        assert "runtime" not in deterministic_sections(manifest)
 
     def test_same_seed_identical_deterministic_sections(self, tmp_path):
         first = _run_cli(tmp_path, seed=99, name="a")
