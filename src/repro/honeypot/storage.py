@@ -110,10 +110,17 @@ _NO_IDS.flags.writeable = False
 
 
 def _frozen_ids(values, what: str) -> np.ndarray:
-    """``values`` as a read-only int32 array; an int32 array is adopted."""
+    """``values`` as a read-only int32 array that owns its data.
+
+    An int32 array that owns its data is adopted; a view (a truncated
+    crawl response is a prefix of the full one) is copied, so a record
+    never keeps a larger array alive.
+    """
     ids = as_int32(values, what)
     if ids.shape[0] == 0:
         return _NO_IDS
+    if ids.base is not None:
+        ids = ids.copy()
     ids.flags.writeable = False
     return ids
 
@@ -129,9 +136,9 @@ class LikerRecord:
     ``visible_friend_ids`` and ``liked_page_ids`` are read-only int32
     arrays, ascending as the API returns them.  The constructor converts
     a list and rejects an id outside int32 with
-    :class:`~repro.util.validation.ValidationError`; an int32 array is
-    kept without a copy and made read-only, and every empty field holds
-    one shared empty array.  A paper-scale liker has about 115 liked
+    :class:`~repro.util.validation.ValidationError`; an int32 array that
+    owns its data is kept without a copy and made read-only, a view is
+    copied, and every empty field holds one shared empty array.  A paper-scale liker has about 115 liked
     pages, so one array per field (a 112-byte header) comes to about
     5 bytes per id, where a list of Python ints takes 36 (an 8-byte
     pointer and a 28-byte int object each).  Records compare equal when

@@ -53,14 +53,20 @@ def check_int32(value: int, what: str) -> None:
 def as_int32(values, what: str) -> np.ndarray:
     """``values`` as an int32 array, rejecting any element that would wrap.
 
-    An int32 array is returned as it is, without a copy.
+    An int32 array is returned as it is, without a copy.  Anything but
+    integers is rejected too, where a cast would round a float, parse a
+    string or count a bool as 1.
     """
     if isinstance(values, np.ndarray) and values.dtype == np.int32 and values.ndim == 1:
         return values
-    arr = np.asarray(values, dtype=np.int64)
+    arr = np.asarray(values)
     if arr.ndim != 1:
         raise ValidationError(f"{what}s must form a flat sequence")
-    if arr.shape[0] and (arr.min() < _INT32_MIN or arr.max() > _INT32_MAX):
+    if arr.shape[0] == 0:
+        return np.empty(0, dtype=np.int32)
+    if arr.dtype.kind not in "iu":
+        raise ValidationError(f"{what}s must be integers, not {arr.dtype}")
+    if arr.min() < _INT32_MIN or arr.max() > _INT32_MAX:
         wide = (arr < _INT32_MIN) | (arr > _INT32_MAX)
         raise ValidationError(f"{what} {int(arr[wide][0])} does not fit in 32 bits")
     return arr.astype(np.int32)

@@ -38,9 +38,7 @@ value is the max across shards.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Tuple
-
-import numpy as np
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.honeypot.storage import (
     BaselineRecord,
@@ -75,43 +73,22 @@ class MergedRun:
     degraded_section: Optional[Dict] = None
 
 
-class _Remapper:
-    """The id relocation for one shard: identity below the floor.
+def _remapper(floor: int, index: int) -> Callable[[int], int]:
+    """The id relocation for one shard: identity below the floor."""
+    base = floor + index * STRIDE
 
-    Calling it maps one id; :meth:`ids` maps an id array by the same rule.
-    """
-
-    __slots__ = ("_floor", "_index", "_base")
-
-    def __init__(self, floor: int, index: int) -> None:
-        self._floor = floor
-        self._index = index
-        self._base = floor + index * STRIDE
-
-    def _overflow(self, offset: int) -> ShardMergeError:
-        return ShardMergeError(
-            f"shard index {self._index} allocated {offset + 1} dynamic users, "
-            f"exceeding the merge id stride {STRIDE}"
-        )
-
-    def __call__(self, user_id: int) -> int:
-        if user_id < self._floor:
+    def remap(user_id: int) -> int:
+        if user_id < floor:
             return user_id
-        offset = user_id - self._floor
+        offset = user_id - floor
         if offset >= STRIDE:
-            raise self._overflow(offset)
-        return self._base + offset
+            raise ShardMergeError(
+                f"shard index {index} allocated {offset + 1} dynamic users, "
+                f"exceeding the merge id stride {STRIDE}"
+            )
+        return base + offset
 
-    def ids(self, user_ids: np.ndarray) -> np.ndarray:
-        """``user_ids`` relocated; the array itself when none is dynamic."""
-        offsets = user_ids.astype(np.int64) - self._floor
-        dynamic = offsets >= 0
-        if not dynamic.any():
-            return user_ids
-        over = offsets >= STRIDE
-        if over.any():
-            raise self._overflow(int(offsets[over][0]))
-        return np.where(dynamic, self._base + offsets, user_ids)
+    return remap
 
 
 def merge_shards(
@@ -145,7 +122,7 @@ def merge_shards(
     merged = HoneypotDataset()
     for shard in ok:
         dataset, _ = completed[shard.shard_id]
-        remap = _Remapper(floor, shard.index)
+        remap = _remapper(floor, shard.index)
         for campaign_id in shard.campaign_ids:
             if campaign_id not in dataset.campaigns:
                 raise ShardMergeError(
@@ -161,7 +138,7 @@ def merge_shards(
             "run would have no baseline or global demographics"
         )
     primary_dataset, _ = completed[primary.shard_id]
-    primary_remap = _Remapper(floor, primary.index)
+    primary_remap = _remapper(floor, primary.index)
     merged.baseline = [
         BaselineRecord(
             user_id=primary_remap(record.user_id),
@@ -189,7 +166,7 @@ def _merge_campaign(
     merged: HoneypotDataset,
     dataset: HoneypotDataset,
     campaign_id: str,
-    remap: _Remapper,
+    remap: Callable[[int], int],
 ) -> None:
     record = dataset.campaigns[campaign_id]
     merged.campaigns[campaign_id] = replace(
@@ -210,7 +187,9 @@ def _merge_campaign(
             merged.likers[new_id] = replace(
                 liker,
                 user_id=new_id,
-                visible_friend_ids=remap.ids(liker.visible_friend_ids),
+                visible_friend_ids=[
+                    remap(f) for f in liker.visible_friend_ids.tolist()
+                ],
                 campaign_ids=[campaign_id],
                 failed_fields=list(liker.failed_fields),
             )

@@ -38,7 +38,7 @@ from repro.ckpt.journal import read_journal
 from repro.honeypot.storage import HoneypotDataset
 from repro.honeypot.study import StudyConfig
 from repro.shard.errors import ShardMergeError
-from repro.shard.merge import IDENTITY_FIELDS, _Remapper
+from repro.shard.merge import IDENTITY_FIELDS, _remapper
 from repro.shard.plan import ShardSpec
 from repro.store.errors import StoreError
 from repro.store.store import HoneypotStore
@@ -236,7 +236,7 @@ def merge_shards_into_store(
     for shard in ok:
         dataset_path, _ = completed[shard.shard_id]
         dataset = HoneypotDataset.from_jsonl(Path(dataset_path))
-        remap = _Remapper(floor, shard.index)
+        remap = _remapper(floor, shard.index)
         db.execute("BEGIN")
         try:
             failpoints.hit("store.merge.shard")
@@ -354,7 +354,9 @@ def _merge_campaign_into_store(
                     liker_seq, new_id, liker.gender, liker.age_bracket,
                     liker.country, int(liker.friend_list_public),
                     liker.declared_friend_count,
-                    json.dumps(remap.ids(liker.visible_friend_ids).tolist()),
+                    json.dumps(
+                        [remap(f) for f in liker.visible_friend_ids.tolist()]
+                    ),
                     json.dumps(liker.liked_page_ids.tolist()),
                     liker.declared_like_count, int(liker.terminated),
                     liker.crawl_status, json.dumps(list(liker.failed_fields)),

@@ -204,7 +204,9 @@ class TestJsonlRobustness:
         with pytest.raises(ValueError, match=r"partial\.jsonl:2: malformed 'liker'"):
             HoneypotDataset.from_jsonl(path)
 
-    @pytest.mark.parametrize("ids", ["5", '["x"]', "[[1, 2]]"])
+    @pytest.mark.parametrize(
+        "ids", ["5", '["x"]', "[[1, 2]]", "[1.5]", '["5"]', "[true]"]
+    )
     def test_id_field_not_a_list_of_ids_names_line(self, tmp_path, ids):
         path = tmp_path / "ids.jsonl"
         path.write_text('{"type": "liker", "user_id": 7, "gender": "F", '

@@ -14,8 +14,10 @@ import numpy as np
 import pytest
 
 from repro.honeypot.storage import HoneypotDataset, LikerRecord, record_fields
+from repro.honeypot.study import HoneypotStudy, StudyConfig
 from repro.osn.columns import ColumnIndex
 from repro.osn.events import LikeEvent, LikeLog
+from repro.osn.faults import FaultProfile
 from repro.osn.graph import FriendshipGraph
 from repro.util.validation import ValidationError
 
@@ -180,9 +182,31 @@ def id_arrays(dataset):
     ]
 
 
+@pytest.fixture(scope="module")
+def truncated_dataset():
+    """The small study with every list response truncated.
+
+    The resilient client runs out of retries and keeps the longest
+    partial, a prefix view of the full response.
+    """
+    config = StudyConfig.small()
+    config.fault_profile = FaultProfile(truncation_rate=1.0)
+    dataset = HoneypotStudy(config).run().dataset
+    assert any(
+        0 < liker.liked_page_ids.size < liker.declared_like_count
+        for liker in dataset.likers.values()
+    )
+    return dataset
+
+
+@pytest.fixture(params=["small_dataset", "truncated_dataset"])
+def crawled(request):
+    return request.getfixturevalue(request.param)
+
+
 class TestCrawledRecordLayout:
-    def test_id_arrays_are_read_only_int32(self, small_dataset):
-        arrays = id_arrays(small_dataset)
+    def test_id_arrays_are_read_only_int32(self, crawled):
+        arrays = id_arrays(crawled)
         assert arrays
         for ids in arrays:
             assert ids.dtype == np.int32
@@ -190,8 +214,8 @@ class TestCrawledRecordLayout:
             # owns its data: no record keeps a larger array alive
             assert ids.base is None
 
-    def test_under_8_bytes_per_id_headers_included(self, small_dataset):
-        arrays = id_arrays(small_dataset)
+    def test_under_8_bytes_per_id_headers_included(self, crawled):
+        arrays = id_arrays(crawled)
         count = sum(ids.size for ids in arrays)
         assert count > 0
         # every empty field holds the same array, so count each array once
