@@ -18,6 +18,7 @@ from typing import Dict, List
 import numpy as np
 
 from repro.honeypot.storage import HoneypotDataset
+from repro.osn.columns import sorted_unique
 
 
 @dataclass(frozen=True)
@@ -45,7 +46,7 @@ def campaign_page_sets(dataset: HoneypotDataset) -> Dict[str, np.ndarray]:
     for campaign_id in dataset.campaign_ids():
         pages = [liker.liked_page_ids for liker in dataset.likers_of(campaign_id)]
         sets[campaign_id] = (
-            np.unique(np.concatenate(pages)) if pages else np.empty(0, np.int32)
+            sorted_unique(np.concatenate(pages)) if pages else np.empty(0, np.int32)
         )
     return sets
 
@@ -53,7 +54,7 @@ def campaign_page_sets(dataset: HoneypotDataset) -> Dict[str, np.ndarray]:
 def campaign_liker_sets(dataset: HoneypotDataset) -> Dict[str, np.ndarray]:
     """The distinct liker ids of each campaign, as a sorted array."""
     return {
-        campaign_id: np.unique(
+        campaign_id: sorted_unique(
             np.asarray(dataset.campaign(campaign_id).liker_ids, dtype=np.int64)
         )
         for campaign_id in dataset.campaign_ids()

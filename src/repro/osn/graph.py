@@ -23,7 +23,7 @@ from typing import TYPE_CHECKING, Dict, Iterable, Iterator, List, Set, Tuple
 
 import numpy as np
 
-from repro.osn.columns import TypedVector, as_int32, check_int32
+from repro.osn.columns import TypedVector, as_int32, check_int32, sorted_unique
 from repro.osn.ids import UserId
 from repro.util.validation import ValidationError, require
 
@@ -33,26 +33,63 @@ if TYPE_CHECKING:  # pragma: no cover - networkx loads on first export
 _EMPTY_I32 = np.empty(0, dtype=np.int32)
 _EMPTY_I64 = np.empty(0, dtype=np.int64)
 
-# Endpoint ids are int32 (dense allocator bases are in the single-digit
-# millions), so an undirected edge packs into one int64 for vectorised
-# dedup.
+# An ordered pair of int32 endpoints packs into one int64 as
+# (u << 32) + (v + 2**31).  The bias puts v in [0, 2**32), so the packed
+# keys sort exactly as the (u, v) pairs do, negative ids included, and
+# one int64 sort serves both the edge dedup and the CSR build.
 _PACK_SHIFT = np.int64(32)
+_PACK_BIAS = np.int64(2**31)
+_SIGN_BIT = np.int32(-(2**31))
 
 
-def _sorted_unique(values: np.ndarray) -> np.ndarray:
-    """Sorted distinct values — ``np.unique`` semantics via sort + mask.
+def _pack(out: np.ndarray, u: np.ndarray, v: np.ndarray) -> None:
+    """Fill the int64 array ``out`` with the packed ``(u, v)`` pairs."""
+    out[:] = u
+    out <<= _PACK_SHIFT
+    out += v
+    out += _PACK_BIAS
 
-    numpy 2.x routes 1-D integer ``np.unique`` through a hash table that
-    is dramatically slower than a plain sort on the ~10^6-element packed
-    edge keys the compile step dedups, so this stays on the sort path.
+
+def _unpack_low(packed: np.ndarray, out: np.ndarray) -> None:
+    """Write the ``v`` half of packed pairs into the int32 array ``out``.
+
+    Narrowing keeps the low 32 bits, ``v + 2**31`` modulo ``2**32``;
+    flipping the sign bit takes the bias back off.
     """
-    if values.shape[0] == 0:
-        return values
-    ordered = np.sort(values)
-    keep = np.empty(ordered.shape[0], dtype=bool)
-    keep[0] = True
-    np.not_equal(ordered[1:], ordered[:-1], out=keep[1:])
-    return ordered[keep]
+    np.copyto(out, packed, casting="unsafe")
+    out ^= _SIGN_BIT
+
+
+def _dedup_pairs(a: np.ndarray, b: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """The distinct undirected edges among ``(a, b)``, as sorted (lo, hi) arrays."""
+    packed = np.empty(a.shape[0], dtype=np.int64)
+    _pack(packed, np.minimum(a, b), np.maximum(a, b))
+    packed = sorted_unique(packed)
+    pair_hi = np.empty(packed.shape[0], dtype=np.int32)
+    _unpack_low(packed, pair_hi)
+    packed >>= _PACK_SHIFT
+    return packed.astype(np.int32), pair_hi
+
+
+def _csr_neighbors(
+    pair_lo: np.ndarray, pair_hi: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Both directions of every edge sorted by (source, neighbor).
+
+    Returns the sorted sources as int64 and the neighbors as int32,
+    decoded from one in-place sort of the packed directed pairs.  The
+    kept neighbor array is allocated before the scratch, so the freed
+    scratch is not left between kept arrays.
+    """
+    m = pair_lo.shape[0]
+    neighbors = np.empty(2 * m, dtype=np.int32)
+    packed = np.empty(2 * m, dtype=np.int64)
+    _pack(packed[:m], pair_lo, pair_hi)
+    _pack(packed[m:], pair_hi, pair_lo)
+    packed.sort()
+    _unpack_low(packed, neighbors)
+    packed >>= _PACK_SHIFT
+    return packed, neighbors
 
 
 class FriendshipGraph:
@@ -146,26 +183,14 @@ class FriendshipGraph:
             a = a[edge_keep]
             b = b[edge_keep]
             explicit = explicit[node_keep]
-        # canonical (lo, hi) pairs, deduplicated via int64 packing (lo is
-        # widened first so the shift keeps its bits); a sort-and-mask
-        # dedup (identical result to np.unique) because numpy's hash-based
-        # unique is ~50x slower on these wide keys
-        lo = np.minimum(a, b).astype(np.int64)
-        hi = np.maximum(a, b)
-        packed = _sorted_unique((lo << _PACK_SHIFT) | hi)
-        pair_lo = (packed >> _PACK_SHIFT).astype(np.int32)
-        pair_hi = (packed & np.int64(0xFFFFFFFF)).astype(np.int32)
+        pair_lo, pair_hi = _dedup_pairs(a, b)
         # node universe: explicitly added nodes plus surviving endpoints
-        nodes = _sorted_unique(np.concatenate([explicit, pair_lo, pair_hi]))
+        nodes = sorted_unique(np.concatenate([explicit, pair_lo, pair_hi])).astype(np.int64)
         # CSR over both edge directions, neighbors sorted per node
-        u = np.concatenate([pair_lo, pair_hi])
-        v = np.concatenate([pair_hi, pair_lo])
-        order = np.lexsort((v, u))
-        us = u[order]
-        self._c_neighbors = v[order]
-        self._c_off_lo = us.searchsorted(nodes, side="left")
-        self._c_off_hi = us.searchsorted(nodes, side="right")
-        self._c_nodes = nodes.astype(np.int64)
+        sources, self._c_neighbors = _csr_neighbors(pair_lo, pair_hi)
+        self._c_off_lo = sources.searchsorted(nodes, side="left")
+        self._c_off_hi = sources.searchsorted(nodes, side="right")
+        self._c_nodes = nodes
         self._c_pair_lo = pair_lo
         self._c_pair_hi = pair_hi
         self._c_edge_count = int(pair_lo.shape[0])

@@ -87,8 +87,8 @@ STEALTH_FARM_MIX = LikeMix(global_frac=0.45, regional_frac=0.45, spam_frac=0.10)
 #: The spam segment every fraud account can draw from.
 SHARED_SPAM_KEY = "exchange"
 
-#: Cap on uniforms materialised per batched-sampling chunk (~32 MB).
-_DRAW_CHUNK = 4_000_000
+#: Cap on uniforms materialised per batched-sampling chunk (2 MB).
+_DRAW_CHUNK = 2**18
 
 #: Default per-operator spam segments.
 DEFAULT_SPAM_KEYS = ("clickworker", "socialformula", "alms", "boostlikes")
@@ -275,8 +275,8 @@ class PageUniverse:
         arrays element-by-element from the same stream), and the
         exponential-sort keys ``log(u)/w`` are computed elementwise in the
         same order, so selections match :meth:`sample_likes_array`
-        exactly.  Chunks are capped so a ``--scale 100`` cohort never
-        materialises a multi-gigabyte draw buffer.
+        exactly.  Chunks are capped at ``_DRAW_CHUNK`` uniforms (2 MB), so
+        the draw buffer stays small at any ``--scale``.
         """
         require(len(totals) == len(countries), "totals and countries must align")
         for total in totals:
