@@ -195,22 +195,17 @@ class ClickWorkerPopulation:
         cfg = self.config
         totals = cfg.page_like_count.sample_many(rng, len(workers))
         explicit = [min(total, cfg.explicit_like_cap) for total in totals]
-        chosen_lists = self._universe.sample_likes_many(
+        pages, counts = self._universe.sample_likes_many(
             rng, explicit, cfg.like_mix, [country] * len(workers), spam_key="clickworker"
         )
         network = self._network
         # Freshly created workers have no prior likes and each sampled set
         # is drawn without replacement from disjoint segments, so the
         # no-dedup fresh path applies.
-        network.like_pages_fresh_many(workers, chosen_lists, time=0)
+        network.like_pages_fresh_many(workers, pages, counts, time=0)
         if workers:
-            explicit_counts = np.fromiter(
-                (len(chosen) for chosen in chosen_lists),
-                dtype=np.int64,
-                count=len(workers),
-            )
             network.profiles.set_background_like_counts(
-                workers, np.asarray(totals, dtype=np.int64) - explicit_counts
+                workers, np.asarray(totals, dtype=np.int64) - counts
             )
 
     def _wire_hubs(self, country: str, workers: List[UserId]) -> None:

@@ -96,13 +96,17 @@ class FarmAccountConfig:
         check_fraction(self.friend_list_public_rate, "friend_list_public_rate")
         check_positive(self.explicit_like_cap, "explicit_like_cap")
 
-    def country_for_region(self, region: str, rng: RngStream) -> str:
-        """Which country a new account claims, given the order's region."""
+    def country_for_region(self, region: str, rng: RngStream, count: int) -> List[str]:
+        """Which countries ``count`` new accounts claim, given the order's region.
+
+        One ``sample_many`` draw: the same labels and stream position as
+        ``count`` scalar ``sample`` calls.
+        """
         if self.fixed_country is not None:
-            return self.fixed_country
+            return [self.fixed_country] * count
         if region == REGION_USA and self.honors_targeting:
-            return self.usa_countries.sample(rng)
-        return self.worldwide_countries.sample(rng)
+            return self.usa_countries.sample_many(rng, count)
+        return self.worldwide_countries.sample_many(rng, count)
 
     @staticmethod
     def near_global_age() -> Categorical:
@@ -130,13 +134,12 @@ class FakeAccountFactory:
         require(count >= 0, "count must be >= 0")
         female = rng.generator.random(count) < config.gender_female_share
         ages = sample_ages(rng, config.age, count)
-        countries = [config.country_for_region(region, rng) for _ in range(count)]
+        countries = config.country_for_region(region, rng, count)
         public = rng.generator.random(count) < config.friend_list_public_rate
         backgrounds = config.background_friends.sample_many(rng, count)
         cohort = f"{COHORT_FARM_PREFIX}{farm_name}"
-        # Same draws (the per-account country_for_region loop above keeps
-        # its scalar stream), columnar writes: the whole batch lands in one
-        # append.  Gender code 0 == FEMALE, so the female mask inverts.
+        # Columnar writes: the whole batch lands in one append.  Gender
+        # code 0 == FEMALE, so the female mask inverts.
         accounts = self._network.create_users_bulk(
             count,
             gender_codes=~female,
@@ -160,19 +163,14 @@ class FakeAccountFactory:
     ) -> None:
         totals = config.page_like_count.sample_many(rng, len(accounts))
         explicit = [min(total, config.explicit_like_cap) for total in totals]
-        chosen_lists = self._universe.sample_likes_many(
+        pages, counts = self._universe.sample_likes_many(
             rng, explicit, config.like_mix, countries, spam_key=config.spam_key
         )
         network = self._network
         # New accounts, segment-disjoint without-replacement samples: the
         # no-dedup fresh write path applies.
-        network.like_pages_fresh_many(accounts, chosen_lists, time=0)
+        network.like_pages_fresh_many(accounts, pages, counts, time=0)
         if accounts:
-            explicit_counts = np.fromiter(
-                (len(chosen) for chosen in chosen_lists),
-                dtype=np.int64,
-                count=len(accounts),
-            )
             network.profiles.set_background_like_counts(
-                accounts, np.asarray(totals, dtype=np.int64) - explicit_counts
+                accounts, np.asarray(totals, dtype=np.int64) - counts
             )

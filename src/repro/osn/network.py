@@ -398,28 +398,38 @@ class SocialNetwork:
         return int(pages.shape[0])
 
     def like_pages_fresh_many(
-        self, user_ids: Sequence[UserId], page_lists: Sequence, time: int
+        self, user_ids: Sequence[UserId], pages, counts, time: int
     ) -> int:
         """Record a whole cohort's fresh likes in one columnar append.
 
-        ``page_lists[i]`` is the int64 page array for ``user_ids[i]``; the
-        same per-user freshness guarantees as :meth:`like_pages_fresh`
-        apply.  Events land user-by-user in caller order, so the log is
-        byte-identical to looping :meth:`like_pages_fresh` — but users,
-        pages, and validation each cost one vectorised pass instead of one
-        Python call per user.  Returns the number of likes recorded.
+        ``pages`` is one page-id column holding each user's pages in turn:
+        the first ``counts[0]`` belong to ``user_ids[0]``, the next
+        ``counts[1]`` to ``user_ids[1]``, and so on — the layout
+        :meth:`PageUniverse.sample_likes_many` returns.  The same per-user
+        freshness guarantees as :meth:`like_pages_fresh` apply.  Events
+        land user-by-user in caller order, so the log is byte-identical to
+        looping :meth:`like_pages_fresh` — but users, pages, and validation
+        each cost one vectorised pass instead of one Python call per user.
+        Counts that do not split ``pages`` among ``user_ids`` are refused
+        before anything is written.  Returns the number of likes recorded.
         """
-        if not user_ids:
-            return 0
         users = np.asarray(user_ids, dtype=np.int64)
-        self._validate_live_users(users)
-        counts = np.fromiter(
-            (arr.shape[0] for arr in page_lists), dtype=np.int64, count=len(page_lists)
-        )
+        counts = np.asarray(counts, dtype=np.int64)
+        pages = np.asarray(pages, dtype=np.int64)
+        if counts.shape != users.shape:
+            raise ValidationError(f"{counts.size} like counts for {users.size} users")
+        if bool(np.any(counts < 0)):
+            raise ValidationError(f"negative like count {int(counts.min())}")
         total = int(counts.sum())
+        if total != pages.shape[0]:
+            raise ValidationError(
+                f"like counts sum to {total}, but {pages.shape[0]} pages were given"
+            )
+        if users.shape[0] == 0:
+            return 0
+        self._validate_live_users(users)
         if total == 0:
             return 0
-        pages = np.concatenate([arr for arr in page_lists if arr.shape[0]])
         rows = pages - _PAGE_ID_BASE
         known = (rows >= 0) & (rows < len(self._pages))
         if not bool(np.all(known)):
@@ -427,8 +437,10 @@ class SocialNetwork:
         user_column = np.repeat(users, counts)
         self.likes.record_arrays(user_column, pages, time)
         if self._liker_sets:
-            for user_id, arr in zip(user_ids, page_lists):
-                self._note_bulk_likes(user_id, arr)
+            for user_id, page_id in zip(user_column.tolist(), pages.tolist()):
+                likers = self._liker_sets.get(page_id)
+                if likers is not None:
+                    likers.add(user_id)
         return total
 
     def _note_bulk_likes(self, user_id: UserId, page_ids) -> None:

@@ -77,10 +77,18 @@ def sample_age(rng: RngStream, bracket_dist: Categorical) -> int:
     return rng.randint(*_bracket_bounds(bracket))
 
 
-def sample_ages(rng: RngStream, bracket_dist: Categorical, n: int) -> List[int]:
-    """Draw ``n`` ages: brackets in one vectorised draw, uniform inside each."""
+def sample_ages(rng: RngStream, bracket_dist: Categorical, n: int) -> np.ndarray:
+    """Draw ``n`` ages: brackets in one vectorised draw, uniform inside each.
+
+    The in-bracket ages come from one ``integers`` call over arrays of
+    bounds, which draws each element as a scalar ``integers(low, high)``
+    would: the values and the generator state match a per-age loop.
+    """
     brackets = bracket_dist.sample_many(rng, n)
-    return [rng.randint(*_bracket_bounds(bracket)) for bracket in brackets]
+    bounds = np.array(
+        [_bracket_bounds(bracket) for bracket in brackets], dtype=np.int64
+    ).reshape(n, 2)
+    return rng.generator.integers(bounds[:, 0], bounds[:, 1])
 
 
 @dataclass(slots=True)
@@ -268,22 +276,28 @@ class WorldBuilder:
 
         Per-user RNG draws (spam-noise bernoulli/size/selection) stay
         scalar and in the original order; the page sets themselves arrive
-        as arrays from :meth:`PageUniverse.sample_likes_many` and land in
-        one cohort-wide :meth:`SocialNetwork.like_pages_fresh_many` append
-        — segments are sampled without replacement and organic users draw
-        no spam in-mix, so every page in a batch is guaranteed new.
+        as one column from :meth:`PageUniverse.sample_likes_many`, each
+        noisy user's spam pages are spliced in after that user's picks,
+        and the cohort lands in one
+        :meth:`SocialNetwork.like_pages_fresh_many` append — segments are
+        sampled without replacement and organic users draw no spam
+        in-mix, so every page in a batch is guaranteed new.
         """
         spam_pages = universe.spam_pages
         like_counts = self.config.like_count.sample_many(rng, len(user_ids))
-        chosen_lists = universe.sample_likes_many(
+        pages, counts = universe.sample_likes_many(
             rng, like_counts, ORGANIC_MIX, countries
         )
         spam_like_rate = self.config.spam_like_rate
-        for i, chosen in enumerate(chosen_lists):
+        noisy: List[int] = []
+        extras: List[int] = []
+        for i in range(len(user_ids)):
             if spam_pages and rng.bernoulli(spam_like_rate):
                 noise = rng.randint(1, min(4, len(spam_pages)) + 1)
-                extra = rng.sample_without_replacement(spam_pages, noise)
-                chosen_lists[i] = np.concatenate(
-                    [chosen, np.asarray(extra, dtype=np.int64)]
-                )
-        network.like_pages_fresh_many(user_ids, chosen_lists, time=0)
+                extras.extend(rng.sample_without_replacement(spam_pages, noise))
+                noisy.extend([i] * noise)
+        if noisy:
+            # insert before the next user's first page, in draw order
+            pages = np.insert(pages, np.cumsum(counts)[noisy], extras)
+            counts += np.bincount(noisy, minlength=counts.shape[0])
+        network.like_pages_fresh_many(user_ids, pages, counts, time=0)

@@ -87,11 +87,18 @@ STEALTH_FARM_MIX = LikeMix(global_frac=0.45, regional_frac=0.45, spam_frac=0.10)
 #: The spam segment every fraud account can draw from.
 SHARED_SPAM_KEY = "exchange"
 
-#: Cap on uniforms materialised per batched-sampling chunk (2 MB).
+#: Cap on uniforms materialised per batched-sampling chunk (2 MB); a
+#: stacked group's gathered keys lie in one chunk, so it bounds them too.
 _DRAW_CHUNK = 2**18
 
 #: Default per-operator spam segments.
 DEFAULT_SPAM_KEYS = ("clickworker", "socialformula", "alms", "boostlikes")
+
+#: One sample of a user's plan: ``(segment key, segment, weights, take)``.
+_Sample = Tuple[tuple, np.ndarray, np.ndarray, int]
+
+#: A user's plan with its uniform count and its page count.
+_UserPlan = Tuple[List[_Sample], int, int]
 
 
 class PageUniverse:
@@ -195,12 +202,13 @@ class PageUniverse:
 
         The segments are int64 arrays, so each per-segment sample is an
         array slice and the user's page set is one concatenation — no
-        per-element Python objects until a caller asks for them.
+        per-element Python objects until a caller asks for them.  It is
+        also the reference the cohort sampler is pinned against.
         """
         require(total >= 0, "total must be >= 0")
         parts = [
             weighted_sample_positive(rng, items, weights, take)
-            for items, weights, take in self._plan(total, mix, country, spam_key)
+            for _, items, weights, take in self._plan(total, mix, country, spam_key)
         ]
         if not parts:
             return self._empty.copy()
@@ -210,8 +218,8 @@ class PageUniverse:
 
     def _plan(
         self, total: int, mix: LikeMix, country: str, spam_key: str
-    ) -> List[Tuple[np.ndarray, np.ndarray, int]]:
-        """One user's draw plan: ``(segment, weights, take)`` per sample.
+    ) -> List[_Sample]:
+        """One user's draw plan: ``(segment key, segment, weights, take)``.
 
         Entirely RNG-free — the plan depends only on the mix counts and
         segment sizes — so the batched sampler can lay out a whole
@@ -219,14 +227,23 @@ class PageUniverse:
         consume the stream in exactly the per-user order the scalar
         :meth:`sample_likes_array` does.  Shortfall spill (regional/spam
         into global) matches the scalar path because it *is* the scalar
-        path, factored out.
+        path, factored out.  The key names the segment (``("regional",
+        country)``, ``("spam", key)`` or ``("global",)``), so the batched
+        sampler can stack the samples that draw from the same one.
         """
         counts = _mix_counts(mix, total)
-        plan: List[Tuple[np.ndarray, np.ndarray, int]] = []
+        plan: List[_Sample] = []
         regional = self._regional.get(country, self._empty)
         regional_take = min(counts[1], len(regional))
         if regional_take > 0:
-            plan.append((regional, self._regional_weights[country], regional_take))
+            plan.append(
+                (
+                    ("regional", country),
+                    regional,
+                    self._regional_weights[country],
+                    regional_take,
+                )
+            )
         spam_take = 0
         spam_count = counts[2]
         if spam_count > 0:
@@ -236,19 +253,28 @@ class PageUniverse:
             )
             own_take = min(own_target, len(own))
             if own_take > 0:
-                plan.append((own, self._spam_weights[spam_key], own_take))
+                plan.append(
+                    (("spam", spam_key), own, self._spam_weights[spam_key], own_take)
+                )
                 spam_take += own_take
             shared = self._spam[SHARED_SPAM_KEY]
             shared_take = min(spam_count - spam_take, len(shared))
             if shared_take > 0:
-                plan.append((shared, self._spam_weights[SHARED_SPAM_KEY], shared_take))
+                plan.append(
+                    (
+                        ("spam", SHARED_SPAM_KEY),
+                        shared,
+                        self._spam_weights[SHARED_SPAM_KEY],
+                        shared_take,
+                    )
+                )
                 spam_take += shared_take
         global_take = min(
             counts[0] + (counts[1] - regional_take) + (spam_count - spam_take),
             len(self._global),
         )
         if global_take > 0:
-            plan.append((self._global, self._global_weights, global_take))
+            plan.append((("global",), self._global, self._global_weights, global_take))
         return plan
 
     def sample_likes_many(
@@ -258,73 +284,121 @@ class PageUniverse:
         mix: LikeMix,
         countries: Sequence[str],
         spam_key: str = None,
-    ) -> List[np.ndarray]:
+    ) -> Tuple[np.ndarray, np.ndarray]:
         """Draw liked-page sets for a whole cohort in one call.
 
         ``totals[i]`` pages are drawn for the user in ``countries[i]``; all
-        users share ``mix`` and ``spam_key``.  Draws are made user-by-user in
-        order from ``rng``, so each per-user array is bit-identical (values
-        and order) to calling :meth:`sample_likes` for that user — this is
-        the batch entry point the generators use.
+        users share ``mix`` and ``spam_key``.  Returns ``(pages, counts)``,
+        both int64: ``pages`` holds every user's pages in user order, and
+        within a user in plan order (regional, own spam, shared spam,
+        global); ``counts[i]`` is how many of them belong to user ``i``.
+        Each user's slice is bit-identical (values and order) to calling
+        :meth:`sample_likes_array` for that user, user by user on the same
+        stream, and the stream ends in the same state.
 
-        The batching is real, not just a loop: every sample in the cohort
-        consumes ``len(segment)`` uniforms, so the whole cohort's uniforms
-        come from a handful of chunked ``generator.random`` calls and one
-        ``log`` pass, sliced back per sample.  Uniform blocks split this
-        way are bit-identical to per-call draws (the generator fills
-        arrays element-by-element from the same stream), and the
-        exponential-sort keys ``log(u)/w`` are computed elementwise in the
-        same order, so selections match :meth:`sample_likes_array`
-        exactly.  Chunks are capped at ``_DRAW_CHUNK`` uniforms (2 MB), so
-        the draw buffer stays small at any ``--scale``.
+        Every sample consumes ``len(segment)`` uniforms, so the cohort's
+        uniforms come from chunked ``generator.random`` calls with one
+        ``log`` pass each.  A block ends at a user boundary and holds at
+        most ``_DRAW_CHUNK`` uniforms (2 MB), unless one user's draws
+        alone exceed that; split this way the draws are the per-call
+        draws (the generator fills arrays element by element from the
+        same stream).  Within a block, the
+        samples that take the same count from the same segment are
+        stacked as rows: their keys ``log(u)/w`` are gathered into one
+        matrix and selected with one ``argpartition(-take, axis=1)``,
+        which returns for each row the indices, in the order, that the
+        1-D call returns.  A group of one row selects on its slice of the
+        block with the 1-D call, and a sample that takes the whole
+        segment copies it, leaving its uniforms unused.  A group's keys
+        lie in one block, so its gathered keys stay under 2 MB too.
         """
         require(len(totals) == len(countries), "totals and countries must align")
-        for total in totals:
-            require(total >= 0, "total must be >= 0")
-        plans = [
-            self._plan(total, mix, country, spam_key)
-            for total, country in zip(totals, countries)
-        ]
-        results: List[np.ndarray] = []
-        empty = self._empty
+        plans: Dict[Tuple[int, str], _UserPlan] = {}
+        cohort: List[_UserPlan] = []
+        for total, country in zip(totals, countries):
+            user_plan = plans.get((total, country))
+            if user_plan is None:
+                require(total >= 0, "total must be >= 0")
+                samples = self._plan(total, mix, country, spam_key)
+                user_plan = plans[(total, country)] = (
+                    samples,
+                    sum(weights.shape[0] for _, _, weights, _ in samples),
+                    sum(take for _, _, _, take in samples),
+                )
+            cohort.append(user_plan)
+        counts = np.fromiter(
+            (count for _, _, count in cohort), dtype=np.int64, count=len(cohort)
+        )
+        pages = np.empty(int(counts.sum()), dtype=np.int64)
         generator = rng.generator
-        chunk_start = 0
-        chunk_draws = 0
-        n_users = len(plans)
-        for i in range(n_users + 1):
-            if i < n_users:
-                user_draws = sum(w.shape[0] for _, w, _ in plans[i])
-                if chunk_draws + user_draws <= _DRAW_CHUNK or chunk_draws == 0:
-                    chunk_draws += user_draws
-                    continue
-            if chunk_draws == 0:
-                break
-            keys_block = generator.random(chunk_draws)
-            np.log(keys_block, out=keys_block)
-            pos = 0
-            for plan in plans[chunk_start:i]:
-                parts: List[np.ndarray] = []
-                for items, weights, take in plan:
-                    n = weights.shape[0]
-                    block = keys_block[pos : pos + n]
-                    pos += n
-                    if take == n:
-                        # whole-population sample: uniforms consumed, keys unused
-                        parts.append(items.copy())
-                        continue
-                    keys = block / weights
-                    chosen = keys.argpartition(-take)[-take:]
-                    parts.append(items[chosen])
-                if not parts:
-                    results.append(empty.copy())
-                elif len(parts) == 1:
-                    results.append(parts[0])
-                else:
-                    results.append(np.concatenate(parts))
-            chunk_start = i
-            chunk_draws = user_draws if i < n_users else 0
-        return results
+        out = 0
+        start = 0
+        while start < len(cohort):
+            stop = start + 1
+            draws = cohort[start][1]
+            while stop < len(cohort) and draws + cohort[stop][1] <= _DRAW_CHUNK:
+                draws += cohort[stop][1]
+                stop += 1
+            if draws:
+                keys = generator.random(draws)
+                np.log(keys, out=keys)
+                out = _select_block(keys, cohort[start:stop], pages, out)
+            start = stop
+        return pages, counts
 
+
+def _windows(column: np.ndarray, width: int) -> np.ndarray:
+    """Every ``width``-long window of ``column``, as one strided view.
+
+    Row ``i`` is ``column[i : i + width]``, so indexing the rows with a
+    list of starts gathers (or scatters to) those slices in one call.
+    The windows overlap, so a scatter must target disjoint slices.
+    """
+    step = column.strides[0]
+    return np.ndarray(
+        shape=(column.shape[0] - width + 1, width),
+        dtype=column.dtype,
+        buffer=column,
+        strides=(step, step),
+    )
+
+
+def _select_block(
+    keys: np.ndarray, block: Sequence[_UserPlan], pages: np.ndarray, out: int
+) -> int:
+    """Select one block's samples into ``pages`` from ``out`` on.
+
+    ``keys`` holds ``log(u)`` for every uniform of the block's users, in
+    plan order.  Returns the position after the block's last page.
+    """
+    groups: Dict[Tuple[tuple, int], Tuple[np.ndarray, np.ndarray, list, list]] = {}
+    at = 0
+    for samples, _, _ in block:
+        for segment, items, weights, take in samples:
+            n = weights.shape[0]
+            if take == n:
+                # whole-segment sample: uniforms consumed, keys unused
+                pages[out : out + n] = items
+            else:
+                group = groups.get((segment, take))
+                if group is None:
+                    group = groups[(segment, take)] = (items, weights, [], [])
+                group[2].append(at)
+                group[3].append(out)
+            at += n
+            out += take
+    for (_, take), (items, weights, key_starts, page_starts) in groups.items():
+        n = weights.shape[0]
+        if len(key_starts) == 1:
+            at, start = key_starts[0], page_starts[0]
+            chosen = (keys[at : at + n] / weights).argpartition(-take)[-take:]
+            pages[start : start + take] = items[chosen]
+            continue
+        rows = _windows(keys, n)[key_starts]
+        rows /= weights
+        chosen = rows.argpartition(-take, axis=1)[:, -take:]
+        _windows(pages, take)[page_starts] = items[chosen]
+    return out
 
 
 def build_universe(

@@ -62,21 +62,19 @@ class TestFarmOrder:
 class TestFarmAccountConfig:
     def test_fixed_country_overrides(self, rng):
         config = young_config(fixed_country="TR")
-        assert config.country_for_region(REGION_USA, rng) == "TR"
-        assert config.country_for_region(REGION_WORLDWIDE, rng) == "TR"
+        assert config.country_for_region(REGION_USA, rng, 1) == ["TR"]
+        assert config.country_for_region(REGION_WORLDWIDE, rng, 3) == ["TR"] * 3
 
     def test_usa_region_honoured(self, rng):
         config = young_config()
-        countries = {config.country_for_region(REGION_USA, rng) for _ in range(100)}
+        countries = set(config.country_for_region(REGION_USA, rng, 100))
         assert "US" in countries
-        us_share = sum(
-            config.country_for_region(REGION_USA, rng) == "US" for _ in range(200)
-        ) / 200
+        us_share = config.country_for_region(REGION_USA, rng, 200).count("US") / 200
         assert us_share > 0.8
 
     def test_ignoring_targeting_uses_worldwide(self, rng):
         config = young_config(honors_targeting=False)
-        countries = [config.country_for_region(REGION_USA, rng) for _ in range(300)]
+        countries = config.country_for_region(REGION_USA, rng, 300)
         assert len(set(countries)) > 3  # spread over the worldwide mix
 
     def test_invalid_gender_share(self):

@@ -10,8 +10,11 @@ through the bulk fast path or through per-item scalar calls.
 
 from __future__ import annotations
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import repro.osn.universe as universe_module
 from repro.honeypot.study import HoneypotStudy, StudyConfig
@@ -20,8 +23,10 @@ from repro.osn.network import SocialNetwork
 from repro.osn.profile import Gender
 from repro.osn.universe import (
     CLICKWORKER_MIX,
+    FARM_MIX,
     ORGANIC_MIX,
     SHARED_SPAM_KEY,
+    STEALTH_FARM_MIX,
     PageUniverse,
 )
 from repro.util.rng import RngStream
@@ -311,6 +316,51 @@ def _test_universe() -> PageUniverse:
     )
 
 
+def _assert_matches_scalar(universe, seed, totals, mix, countries, spam_key):
+    """The reference is one `sample_likes_array` call per user, in order."""
+    batched_rng = RngStream(seed, "t")
+    pages, counts = universe.sample_likes_many(
+        batched_rng, totals, mix, countries, spam_key=spam_key
+    )
+    scalar_rng = RngStream(seed, "t")
+    scalar = [
+        universe.sample_likes_array(scalar_rng, total, mix, country, spam_key=spam_key)
+        for total, country in zip(totals, countries)
+    ]
+    assert pages.dtype == np.int64
+    assert counts.dtype == np.int64
+    assert counts.tolist() == [arr.shape[0] for arr in scalar]
+    expected = np.concatenate([np.empty(0, dtype=np.int64), *scalar])
+    np.testing.assert_array_equal(pages, expected)
+    assert (
+        batched_rng.generator.bit_generator.state
+        == scalar_rng.generator.bit_generator.state
+    )
+
+
+ALL_MIXES = [ORGANIC_MIX, CLICKWORKER_MIX, FARM_MIX, STEALTH_FARM_MIX]
+
+
+@st.composite
+def cohorts(draw):
+    """0-60 users: totals past every segment size (125 pages in all),
+    often repeated so groups stack, and "FR", which has no regional
+    segment."""
+    pool = draw(st.lists(st.integers(0, 140), min_size=1, max_size=4))
+    n = draw(st.integers(0, 60))
+    totals = draw(
+        st.lists(
+            st.one_of(st.sampled_from(pool), st.integers(0, 140)),
+            min_size=n,
+            max_size=n,
+        )
+    )
+    countries = draw(
+        st.lists(st.sampled_from(["US", "IN", "FR"]), min_size=n, max_size=n)
+    )
+    return totals, countries
+
+
 class TestBatchedSamplerEquivalence:
     """sample_likes_many is draw-for-draw identical to the scalar loop."""
 
@@ -321,22 +371,9 @@ class TestBatchedSamplerEquivalence:
 
     @pytest.mark.parametrize("mix,spam_key", CASES)
     def test_bit_identical_to_scalar_loop(self, mix, spam_key):
-        universe = _test_universe()
         totals = [0, 3, 17, 30, 8, 1, 25, 12]
         countries = ["US", "IN", "US", "FR", "IN", "US", "FR", "IN"]
-        batched = universe.sample_likes_many(
-            RngStream(777, "t"), totals, mix, countries, spam_key=spam_key
-        )
-        scalar_rng = RngStream(777, "t")
-        scalar = [
-            universe.sample_likes_array(
-                scalar_rng, total, mix, country, spam_key=spam_key
-            )
-            for total, country in zip(totals, countries)
-        ]
-        assert len(batched) == len(scalar)
-        for got, expected in zip(batched, scalar):
-            assert np.array_equal(got, expected)
+        _assert_matches_scalar(_test_universe(), 777, totals, mix, countries, spam_key)
 
     def test_chunk_boundaries_do_not_change_draws(self, monkeypatch):
         # Force many tiny chunks: per-user plans must split the uniform
@@ -355,6 +392,84 @@ class TestBatchedSamplerEquivalence:
         )
         for got, expected in zip(chunked, unchunked):
             assert np.array_equal(got, expected)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        cohort=cohorts(),
+        mix=st.sampled_from(ALL_MIXES),
+        spam_key=st.sampled_from([None, "clickworker", "nosuchfarm"]),
+        chunk=st.sampled_from([1, 7, 64, 2**18]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_cohorts_match_scalar_loop(self, cohort, mix, spam_key, chunk, seed):
+        totals, countries = cohort
+        with mock.patch.object(universe_module, "_DRAW_CHUNK", chunk):
+            _assert_matches_scalar(
+                _test_universe(), seed, totals, mix, countries, spam_key
+            )
+
+    def test_rejects_negative_total_and_misaligned_countries(self):
+        universe = _test_universe()
+        rng = RngStream(5, "r")
+        state = rng.generator.bit_generator.state
+        with pytest.raises(ValidationError):
+            universe.sample_likes_many(rng, [3, -1], ORGANIC_MIX, ["US", "IN"])
+        with pytest.raises(ValidationError):
+            universe.sample_likes_many(rng, [3, 4], ORGANIC_MIX, ["US"])
+        assert rng.generator.bit_generator.state == state
+
+
+class TestLikePagesFreshMany:
+    """The cohort write refuses counts that do not split its page column."""
+
+    def _network(self):
+        network, users, pages = _network_with(3, 4)
+        network.like_pages_fresh_many(
+            users[:2], np.array(pages[:3]), np.array([2, 1]), time=0
+        )
+        # a scalar like materialises the page's liker set
+        network.like_page(users[2], pages[3], time=1)
+        return network, users, pages
+
+    def test_splits_the_column_by_counts(self):
+        network, users, pages = self._network()
+        assert network.likes.user_page_ids_array(users[0]).tolist() == pages[:2]
+        assert network.likes.user_page_ids_array(users[1]).tolist() == [pages[2]]
+        assert network.likes.user_event_positions(users[1]).tolist() == [2]
+
+    def test_updates_materialised_liker_sets(self):
+        network, users, pages = self._network()
+        added = network.like_pages_fresh_many(
+            users[:2], np.array([pages[3], pages[0]]), np.array([1, 1]), time=2
+        )
+        assert added == 2
+        assert network._liker_sets[pages[3]] == {users[2], users[0]}
+        assert network.page_liker_ids(pages[3]) == [users[2], users[0]]
+        assert network.page_liker_ids(pages[0]) == [users[0], users[1]]
+
+    @pytest.mark.parametrize(
+        "page_rows,counts",
+        [
+            pytest.param([3, 0], [1, 1], id="three-users-two-counts"),
+            pytest.param([3, 0, 1], [1, 1, 2], id="counts-sum-past-pages"),
+            pytest.param([3, 0, 1], [1, 1, 0], id="counts-sum-short-of-pages"),
+            pytest.param([3, 0, 1], [2, -1, 2], id="negative-count"),
+        ],
+    )
+    def test_misaligned_write_changes_nothing(self, page_rows, counts):
+        network, users, pages = self._network()
+        before = len(network.likes)
+        likers = set(network._liker_sets[pages[3]])
+        with pytest.raises(ValidationError):
+            network.like_pages_fresh_many(
+                users,
+                np.array([pages[row] for row in page_rows]),
+                np.array(counts),
+                time=2,
+            )
+        assert len(network.likes) == before
+        assert network._liker_sets[pages[3]] == likers
+        assert network.page_liker_ids(pages[3]) == [users[2]]
 
 
 class TestAddFriendshipsBulk:
@@ -417,16 +532,18 @@ def _scalar_like_pages_fresh(self, user_id, page_ids, time):
     return added
 
 
-def _scalar_like_pages_fresh_many(self, user_ids, page_lists, time):
+def _scalar_like_pages_fresh_many(self, user_ids, pages, counts, time):
     """The pre-cohort-batching path: one `like_pages_fresh` per user.
 
-    Dispatches through ``self`` so the (also monkeypatched) per-user
-    scalar fallback runs underneath — the study then writes every like
-    through `like_page`, the fully scalar path.
+    Splits the page column at the counts' running sums and dispatches
+    through ``self`` so the (also monkeypatched) per-user scalar
+    fallback runs underneath — the study then writes every like through
+    `like_page`, the fully scalar path.
     """
+    assert len(counts) == len(user_ids)
     total = 0
-    for user_id, pages in zip(user_ids, page_lists):
-        total += self.like_pages_fresh(user_id, pages, time)
+    for user_id, user_pages in zip(user_ids, np.split(pages, np.cumsum(counts)[:-1])):
+        total += self.like_pages_fresh(user_id, user_pages, time)
     return total
 
 
