@@ -12,12 +12,15 @@ scheme:
   dictionary so categorical columns (country, cohort, town) store int
   codes instead of Python strings.
 * :class:`ColumnIndex` — a lazily compiled inverted index over an id
-  column: one sort of packed ``(key, row)`` int64 keys groups equal
-  keys into contiguous runs in arrival order, so "all rows for key k"
-  becomes one slice.  Rows appended after compilation form a *tail*;
-  the first query that sees a tail row puts it into a per-key bucket,
-  once, and the index recompiles only when the tail outgrows the
-  compiled prefix.
+  column.  A compile sorts nothing: it takes a prefix of the column
+  and records its key range, and the rows after it form a *tail* that
+  the first query to see a row puts into a per-key bucket, once.  Only
+  a query for a key inside the prefix's range groups the prefix into
+  runs of equal keys in arrival order, so "all rows for key k" becomes
+  one slice.  A non-decreasing prefix is its own order and needs no
+  sort; any other prefix is grouped by one sort of packed
+  ``(key, row)`` int64 keys.  The index recompiles only when the tail
+  outgrows the compiled prefix.
 
 The id and time columns these index are int32: every user id, page id
 and minute timestamp fits in 32 bits.  :func:`as_int32` and
@@ -34,7 +37,7 @@ and the Figure 5 unions share: a sort and an adjacent-difference mask.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -54,9 +57,14 @@ _MIN_CAPACITY = 16
 _INT32_MIN = -(2**31)
 _INT32_MAX = 2**31 - 1
 
-# Rows per pass when ColumnIndex.compile fills its sort keys and scans
-# them for run boundaries, so neither pass needs a full-length temporary.
+# Rows per pass when a column is scanned (a ColumnIndex's descent scan,
+# sort-key fill and run boundaries, the like log's chronology check), so
+# no pass needs a full-length temporary.
 _COMPILE_CHUNK = 1 << 16
+
+# The fewest rows a ColumnIndex leaves in its tail buckets before it
+# recompiles: a tail may grow to max(_MIN_TAIL, prefix) rows.
+_MIN_TAIL = 1024
 
 
 def check_int32(value: int, what: str) -> None:
@@ -210,31 +218,41 @@ class StringInterner:
 class ColumnIndex:
     """Lazily compiled inverted index over an int32 id column.
 
-    ``compile(keys)`` sorts one int64 per row, the key in the high half
-    and the row number in the low half.  Rows are distinct, so the sort
-    order is unique: rows sharing a key form one contiguous run of the
-    permutation, in arrival order, exactly as a stable argsort of the
-    keys would put them.  ``lookup`` then returns the run as a slice of
-    global row positions (ascending, i.e. arrival order).  Rows appended
-    after compilation form a tail that is grouped *incrementally* into a
-    per-key position dict the first time a query observes it — each
-    appended row is bucketed exactly once, so a long query/append
+    ``compile(keys)`` sorts nothing.  It takes the column's longest
+    non-decreasing prefix when the rows after it fit in a tail (at most
+    ``max(_MIN_TAIL, prefix)`` rows, the rule :meth:`ensure` recompiles
+    by), or else the whole column, and records the prefix's lowest and
+    highest key.  A query for a key outside that range reads only the
+    tail buckets.  The first query for a key inside it groups the prefix
+    into runs of equal keys: ``_unique`` holds each run's key and
+    ``_starts`` its first row in key order.  A non-decreasing prefix is
+    its own order, so its run of rows is ``arange(start, stop)``; any
+    other prefix sorts one int64 per row, the key in the high half and
+    the row number in the low half, and keeps the row permutation
+    ``_order``.  Rows are distinct, so that sort order is unique: rows
+    sharing a key form one contiguous run, in arrival order, exactly as
+    a stable argsort of the keys would put them.
+
+    Rows after the prefix form a tail that is grouped *incrementally*
+    into a per-key position dict the first time a query observes it —
+    each appended row is bucketed exactly once, so a long query/append
     interleaving (the simulation phase) costs O(appends) total instead
     of an O(tail) rescan per query.  :meth:`ensure` recompiles when the
-    tail outgrows the compiled prefix so run lookups stay amortised
-    O(log u + run).
+    tail outgrows the compiled prefix, and the recompile defers again.
 
-    The row permutation ``_order`` is int32, 4 bytes per indexed row, so
-    a column indexes at most ``2**31 - 1`` rows.  The per-key tables,
-    ``_unique`` and ``_starts``, stay int64: scalar lookups binary-search
-    ``_unique`` with a Python int, which NumPy does several times faster
-    on an int64 array than on an int32 one.
+    ``_order`` is int32, 4 bytes per indexed row, so a column indexes at
+    most ``2**31 - 1`` rows.  The per-key tables, ``_unique`` and
+    ``_starts``, stay int64: scalar lookups binary-search ``_unique``
+    with a Python int, which NumPy does several times faster on an int64
+    array than on an int32 one.
     """
 
     __slots__ = (
         "_order",
         "_unique",
         "_starts",
+        "_prefix_sorted",
+        "_key_range",
         "_compiled_n",
         "_tail_map",
         "_scanned_n",
@@ -244,62 +262,51 @@ class ColumnIndex:
         self._order: Optional[np.ndarray] = None
         self._unique: Optional[np.ndarray] = None
         self._starts: Optional[np.ndarray] = None
+        self._prefix_sorted = False
+        # lowest and highest key of the compiled prefix; None until the
+        # first compile, (0, -1) for an empty prefix
+        self._key_range: Optional[Tuple[int, int]] = None
         self._compiled_n = 0
         self._tail_map: Dict[int, List[int]] = {}
         self._scanned_n = 0
 
     def compile(self, keys: np.ndarray) -> None:
-        """(Re)build the index over the full int32 column ``keys``.
+        """(Re)compile over the full int32 column ``keys``, deferring the runs.
 
-        The compile holds 8 bytes per row for the packed keys and 4 for
-        ``_order``: the packed array is filled and scanned in chunks and
-        sorted and decoded in place.  ``_order`` is allocated before the
-        scratch, so the freed scratch is not left between kept arrays.
+        Allocates nothing per row: the descent scan reads the column in
+        chunks, and the rows after the prefix are left for :meth:`ensure`
+        to bucket.
         """
         keys = as_int32(keys, "index key")
         n = int(keys.shape[0])
         if n > _INT32_MAX:
             raise ValidationError(f"{n} rows do not fit a 32-bit index")
-        order = np.empty(n, dtype=np.int32)
-        # (key << 32) + row: a signed key keeps its order in the high
-        # half, and the row, in [0, 2**31), fills the low half
-        packed = np.empty(n, dtype=np.int64)
-        for start in range(0, n, _COMPILE_CHUNK):
-            stop = min(start + _COMPILE_CHUNK, n)
-            chunk = packed[start:stop]
-            chunk[:] = keys[start:stop]
-            chunk <<= 32
-            chunk += np.arange(start, stop, dtype=np.int64)
-        packed.sort()
-        # the low halves are the rows; narrowing keeps exactly those bits
-        np.copyto(order, packed, casting="unsafe")
-        self._order = order
-        packed >>= 32
-        # run boundaries: the rows where the sorted key changes
-        bounds = [np.zeros(min(n, 1), dtype=np.int64)]
-        for start in range(1, n, _COMPILE_CHUNK):
-            stop = min(start + _COMPILE_CHUNK, n)
-            change = packed[start:stop] != packed[start - 1 : stop - 1]
-            bounds.append(np.flatnonzero(change) + start)
-        starts = np.concatenate(bounds)
-        self._unique = packed[starts]
-        self._starts = np.append(starts, n)
-        self._compiled_n = n
+        prefix = _ascending_prefix(keys)
+        self._prefix_sorted = n - prefix <= max(_MIN_TAIL, prefix)
+        if not self._prefix_sorted:
+            prefix = n
+            self._key_range = (int(keys.min()), int(keys.max()))
+        elif prefix:
+            self._key_range = (int(keys[0]), int(keys[prefix - 1]))
+        else:
+            self._key_range = (0, -1)
+        self._order = self._unique = self._starts = None
+        self._compiled_n = prefix
         self._tail_map = {}
-        self._scanned_n = n
+        self._scanned_n = prefix
 
     def ensure(self, keys: np.ndarray) -> None:
         """Compile or recompile as needed; bucket any unseen tail rows.
 
-        The tail is every row appended since the last compile.  A tail
-        larger than the compiled prefix triggers a recompile (emptying
-        the tail map); otherwise rows appended since the last query are
-        grouped into the per-key tail map, each exactly once.
+        The tail is every row after the compiled prefix.  A tail larger
+        than the prefix triggers a recompile (emptying the tail map);
+        rows not yet seen by a query are then grouped into the per-key
+        tail map, each exactly once.
         """
         n = keys.shape[0]
-        if self._order is None or n - self._compiled_n > max(1024, self._compiled_n):
+        tail = n - self._compiled_n
+        if self._key_range is None or tail > max(_MIN_TAIL, self._compiled_n):
             self.compile(keys)
-            return
         start = self._scanned_n
         if n > start:
             tail_map = self._tail_map
@@ -311,68 +318,102 @@ class ColumnIndex:
                     bucket.append(start + offset)
             self._scanned_n = n
 
-    def compiled_positions(self, key: int) -> np.ndarray:
-        """Global row positions for ``key`` in the compiled prefix.
+    def _build_runs(self, keys: np.ndarray) -> None:
+        """Group the compiled prefix of ``keys`` into runs of equal keys.
 
-        Ascending (arrival) order.  Empty array when the key is absent.
-        ``compile``/``ensure`` must have run first.
+        An unsorted prefix holds 12 bytes per row while this runs: 8 for
+        the packed keys, filled in chunks and sorted and decoded in
+        place, and 4 for ``_order``, which is allocated before the
+        scratch so the freed scratch is not left between kept arrays.
         """
-        unique = self._unique
-        i = int(unique.searchsorted(key))
-        if i == unique.shape[0] or unique[i] != key:
-            return _EMPTY_POSITIONS
-        # equal keys sort by row, so the run is in arrival order already
-        return self._order[self._starts[i] : self._starts[i + 1]]
+        n = self._compiled_n
+        if self._prefix_sorted:
+            ordered = keys[:n]
+        else:
+            order = np.empty(n, dtype=np.int32)
+            # (key << 32) + row: a signed key keeps its order in the high
+            # half, and the row, in [0, 2**31), fills the low half
+            ordered = np.empty(n, dtype=np.int64)
+            for start in range(0, n, _COMPILE_CHUNK):
+                stop = min(start + _COMPILE_CHUNK, n)
+                chunk = ordered[start:stop]
+                chunk[:] = keys[start:stop]
+                chunk <<= 32
+                chunk += np.arange(start, stop, dtype=np.int64)
+            ordered.sort()
+            # the low halves are the rows; narrowing keeps exactly those bits
+            np.copyto(order, ordered, casting="unsafe")
+            self._order = order
+            ordered >>= 32
+        # run boundaries: the rows where the ordered key changes
+        bounds = [np.zeros(min(n, 1), dtype=np.int64)]
+        for start in range(1, n, _COMPILE_CHUNK):
+            stop = min(start + _COMPILE_CHUNK, n)
+            change = ordered[start:stop] != ordered[start - 1 : stop - 1]
+            bounds.append(np.flatnonzero(change) + start)
+        starts = np.concatenate(bounds)
+        self._unique = ordered[starts].astype(np.int64, copy=False)
+        self._starts = np.append(starts, n)
+
+    def _run(self, key: int, keys: np.ndarray) -> Optional[Tuple[int, int]]:
+        """``(start, stop)`` of ``key``'s run in key order, or ``None``.
+
+        Only a key inside the prefix's range builds the runs.
+        """
+        low, high = self._key_range
+        if not low <= key <= high:
+            return None
+        if self._unique is None:
+            self._build_runs(keys)
+        # the highest key has a run, so a key in range finds a slot
+        i = int(self._unique.searchsorted(key))
+        if self._unique[i] != key:
+            return None
+        return int(self._starts[i]), int(self._starts[i + 1])
 
     def positions(self, key: int, keys: np.ndarray) -> np.ndarray:
-        """All global row positions for ``key`` (compiled run + tail map)."""
-        self.ensure(keys)
-        run = self.compiled_positions(key)
-        bucket = self._tail_map.get(key)
-        if bucket is None:
-            return run
-        tail_hits = np.asarray(bucket, dtype=np.int32)
-        if run.shape[0] == 0:
-            return tail_hits
-        return np.concatenate([run, tail_hits])
+        """All global row positions for ``key``, ascending (arrival order).
 
-    def last_positions(self, query: np.ndarray, keys: np.ndarray) -> np.ndarray:
-        """Newest global row position per key in ``query`` (-1 if absent).
-
-        One vectorised searchsorted over the compiled runs plus a dict
-        probe per tail-resident key — the batch twin of taking
-        ``positions(k)[-1]`` for each key.
+        The compiled run, then the tail bucket.  Empty when the key is
+        absent.
         """
         self.ensure(keys)
-        unique = self._unique
-        if unique.shape[0] == 0:
-            result = np.full(query.shape[0], -1, dtype=np.int32)
+        run = self._run(key, keys)
+        if run is None:
+            hits = _EMPTY_POSITIONS
+        elif self._order is None:
+            hits = np.arange(*run, dtype=np.int32)
         else:
-            slots = unique.searchsorted(query)
-            slots[slots == unique.shape[0]] = 0
-            present = unique[slots] == query
-            # last row of each compiled run (runs are in arrival order)
-            result = np.where(present, self._order[self._starts[slots + 1] - 1], -1)
-        tail_map = self._tail_map
-        if tail_map:
-            for i, key in enumerate(query.tolist()):
-                bucket = tail_map.get(key)
-                if bucket is not None:
-                    result[i] = bucket[-1]
-        return result
+            # equal keys sort by row, so the run is in arrival order already
+            hits = self._order[run[0] : run[1]]
+        bucket = self._tail_map.get(key)
+        if bucket is None:
+            return hits
+        tail_hits = np.asarray(bucket, dtype=np.int32)
+        if hits.shape[0] == 0:
+            return tail_hits
+        return np.concatenate([hits, tail_hits])
 
     def count(self, key: int, keys: np.ndarray) -> int:
         """Number of rows holding ``key`` (cheaper than materialising)."""
         self.ensure(keys)
-        unique = self._unique
-        i = int(unique.searchsorted(key))
-        n = 0
-        if i < unique.shape[0] and unique[i] == key:
-            n = int(self._starts[i + 1] - self._starts[i])
+        run = self._run(key, keys)
+        n = 0 if run is None else run[1] - run[0]
         bucket = self._tail_map.get(key)
         if bucket is not None:
             n += len(bucket)
         return n
+
+
+def _ascending_prefix(keys: np.ndarray) -> int:
+    """Length of the longest non-decreasing prefix of ``keys``."""
+    n = keys.shape[0]
+    for start in range(1, n, _COMPILE_CHUNK):
+        stop = min(start + _COMPILE_CHUNK, n)
+        descents = keys[start:stop] < keys[start - 1 : stop - 1]
+        if descents.any():
+            return start + int(descents.argmax())
+    return n
 
 
 _EMPTY_POSITIONS = np.empty(0, dtype=np.int32)

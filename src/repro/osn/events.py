@@ -8,16 +8,21 @@ Storage is columnar: the log is three parallel growable int32 columns —
 ``user_id``, ``page_id``, ``time`` — appended in arrival order, 12 bytes
 per event, plus two lazily compiled
 :class:`repro.osn.columns.ColumnIndex` inverted indexes (per page and
-per user), 4 bytes per event each.  Ids and minute timestamps all fit in
-32 bits; a write whose id or time does not is rejected whole with
-:class:`ValidationError` before any column grows.  "All events for page
-p" is one stable-sorted slice; events appended after an index compiles
-form a tail, and the first query that sees a tail event puts it into a
-per-key bucket, once.  :class:`LikeEvent` objects are materialised only
-on read.  At paper scale the write path sees ~1.2M events, nearly all
-through :meth:`LikeLog.record_arrays`, which lands a whole cohort's
-likes with one validation and one append per column; the scalar
-:meth:`LikeLog.record` takes ad and farm deliveries one like at a time.
+per user).  Ids and minute timestamps all fit in 32 bits; a write whose
+id or time does not, or whose user and page columns differ in length,
+is rejected whole with :class:`ValidationError` before any column
+grows.  An index sorts only the rows a query reaches.  The world build
+writes each cohort user by user, so its rows are already in user order
+and the user index keeps 16 bytes per distinct user and nothing per
+event.  The honeypot pages are created after the build, so every page
+query reads only the per-key buckets of the rows after it, and the page
+index holds nothing per build event.  :class:`LikeEvent` objects are
+materialised only on read.  At paper scale the write path sees ~1.2M
+events, nearly all through :meth:`LikeLog.record_arrays`, which lands a
+whole cohort's likes with one validation and one append per column; the
+scalar :meth:`LikeLog.record` takes ad and farm deliveries one like at
+a time.  A write below the log's newest time is checked for per-page
+chronology by a chunked scan of the time column, not through an index.
 
 Removals are kept as a side list of :class:`LikeRemovalEvent` records
 tagged with the like-event count at removal time (their *sequence
@@ -34,6 +39,7 @@ from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
+from repro.osn import columns
 from repro.osn.columns import ColumnIndex, TypedVector, as_int32, check_int32
 from repro.osn.ids import PageId, UserId
 from repro.util.validation import ValidationError, require
@@ -100,12 +106,7 @@ class LikeLog:
         check_int32(event.user_id, "user id")
         check_int32(event.page_id, "page id")
         check_int32(time, "like time")
-        if time < self._max_time:
-            last = self.page_last_time(event.page_id)
-            if last is not None and time < last:
-                raise ValidationError(
-                    "like events for a page must arrive in chronological order"
-                )
+        self._check_chronology([event.page_id], time)
         self._users.append(event.user_id)
         self._pages.append(event.page_id)
         self._times.append(time)
@@ -134,16 +135,8 @@ class LikeLog:
         pages = as_int32(page_ids, "page id")
         # Validate before mutating: a batch either applies in full or not
         # at all, so a rejected batch never leaves the columns
-        # half-written.  ``time >= _max_time`` subsumes every per-page
-        # check; the slow path compares against each page's own last
-        # event time, exactly like the old per-page list tail.
-        if time < self._max_time:
-            for page_id in page_ids:
-                last = self.page_last_time(page_id)
-                if last is not None and time < last:
-                    raise ValidationError(
-                        "like events for a page must arrive in chronological order"
-                    )
+        # half-written.
+        self._check_chronology(pages, time)
         self._pages.extend(pages)
         self._users.extend_full(k, user_id)
         self._times.extend_full(k, time)
@@ -161,32 +154,47 @@ class LikeLog:
         workers).  Same validation contract as
         :meth:`record_many` (batch atomicity, ids and time within int32,
         chronological order per page), one column append for the whole
-        cohort.
+        cohort.  Columns of different lengths are refused whole too.
         """
-        k = page_ids.shape[0]
+        if len(user_ids) != len(page_ids):
+            raise ValidationError(
+                f"{len(user_ids)} user ids do not align with {len(page_ids)} page ids"
+            )
+        k = len(page_ids)
         if k == 0:
             return
         require(time >= 0, "like time must be >= 0")
         check_int32(time, "like time")
         users = as_int32(user_ids, "user id")
         pages = as_int32(page_ids, "page id")
-        if time < self._max_time:
-            # vectorised per-page chronology check: newest existing event
-            # per batch page, compared against the batch timestamp
-            last_rows = self._page_index.last_positions(
-                pages, self._pages.values()
-            )
-            seen = last_rows >= 0
-            if bool(np.any(self._times.values()[last_rows[seen]] > time)):
-                raise ValidationError(
-                    "like events for a page must arrive in chronological order"
-                )
+        self._check_chronology(pages, time)
         self._pages.extend(pages)
         self._users.extend(users)
         self._times.extend_full(k, time)
         self._count += k
         if time > self._max_time:
             self._max_time = time
+
+    def _check_chronology(self, pages, time: int) -> None:
+        """Refuse a write at ``time`` to a page holding a later event.
+
+        A write at or after the log's newest time passes at once.  Below
+        it, the time column is scanned a chunk at a time for the rows
+        later than the write, and the write is refused if any page in
+        ``pages`` is among those rows' pages.  Per-page times never
+        decrease, so this is exactly "the page's newest event is later".
+        """
+        if time >= self._max_time:
+            return
+        times = self._times.values()
+        log_pages = self._pages.values()
+        chunk = columns._COMPILE_CHUNK
+        for start in range(0, times.shape[0], chunk):
+            later = times[start : start + chunk] > time
+            if later.any() and np.isin(pages, log_pages[start : start + chunk][later]).any():
+                raise ValidationError(
+                    "like events for a page must arrive in chronological order"
+                )
 
     # -- columnar reads ------------------------------------------------------
 
@@ -222,14 +230,6 @@ class LikeLog:
         return int(
             np.count_nonzero(self._users.values()[positions] == int(user_id))
         )
-
-    def page_last_time(self, page_id: PageId):
-        """Time of the newest event on ``page_id``, or ``None`` if none."""
-        positions = self.page_event_positions(page_id)
-        if positions.shape[0] == 0:
-            return None
-        # per-page times are non-decreasing, so the newest event is last
-        return int(self._times.values()[positions[-1]])
 
     def for_page(self, page_id: PageId) -> Tuple[LikeEvent, ...]:
         """All like events on ``page_id``, oldest first."""

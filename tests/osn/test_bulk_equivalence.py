@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import repro.osn.universe as universe_module
+from repro.osn import columns
 from repro.honeypot.study import HoneypotStudy, StudyConfig
 from repro.osn.events import LikeEvent, LikeLog
 from repro.osn.network import SocialNetwork
@@ -193,6 +194,25 @@ class TestRecordArrays:
         )
         assert len(log) == 4
         assert [e.user_id for e in log.for_page(10)] == [1, 2]
+
+    def test_misaligned_columns_raise_and_apply_nothing(self):
+        log = LikeLog()
+        log.record(LikeEvent(user_id=1, page_id=10, time=5))
+        columns_before = (len(log), len(log._users), len(log._pages), len(log._times))
+        with pytest.raises(ValidationError, match="3 user ids do not align with 2 page ids"):
+            log.record_arrays(np.array([1, 2, 3]), np.array([10, 11]), 0)
+        with pytest.raises(ValidationError, match="1 user ids do not align with 0 page ids"):
+            log.record_arrays(np.array([2]), np.array([], dtype=np.int64), 6)
+        assert (len(log), len(log._users), len(log._pages), len(log._times)) == columns_before
+        assert log.for_user(3) == ()
+
+    @pytest.mark.parametrize("chunk", [1, 3])
+    def test_refusals_hold_in_any_scan_chunk(self, chunk):
+        # the chronology check scans the time column in chunks
+        with mock.patch.object(columns, "_COMPILE_CHUNK", chunk):
+            self.test_out_of_order_batch_raises_and_applies_nothing()
+            self.test_equal_time_batch_accepted_below_high_water_mark()
+            self.test_misaligned_columns_raise_and_apply_nothing()
 
 
 class TestProfileStoreViews:

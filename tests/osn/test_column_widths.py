@@ -1,20 +1,26 @@
 """Layout pin for the stores that grow with ``--scale``.
 
 Every user id, page id and minute timestamp fits in 32 bits, so the like
-log, its two indexes, the friendship graph and the crawled liker records
-hold them as int32.  The layout classes pin the bytes per stored row
-after a seeded small study; the never-wrap classes pin that a value
-outside int32 is rejected whole instead of wrapping.
+log, the friendship graph and the crawled liker records hold them as
+int32.  The layout classes pin the bytes per stored row after a seeded
+small study, and that neither like-log index sorts anything there: the
+build's rows are already in user order, and every page query is for a
+honeypot page above the build's pages.  The chronology class pins the
+like log's order check, which scans the time column instead of asking
+the page index.  The never-wrap classes pin that a value outside int32
+is rejected whole instead of wrapping.
 """
 
 import json
 import sys
+from unittest import mock
 
 import numpy as np
 import pytest
 
 from repro.honeypot.storage import HoneypotDataset, LikerRecord, record_fields
 from repro.honeypot.study import HoneypotStudy, StudyConfig
+from repro.osn import columns
 from repro.osn.columns import ColumnIndex
 from repro.osn.events import LikeEvent, LikeLog
 from repro.osn.faults import FaultProfile
@@ -35,16 +41,22 @@ class TestStudyLayout:
         columns = (log._users, log._pages, log._times)
         assert sum(column.values().nbytes for column in columns) == 12 * len(log)
 
-    def test_each_index_holds_4_bytes_per_row_plus_key_tables(self, network):
-        log = network.likes
-        for index in (log._page_index, log._user_index):
-            assert index._order is not None, "the crawl compiles both indexes"
-            per_key = index._unique.nbytes + index._starts.nbytes
-            arrays = (getattr(index, slot) for slot in ColumnIndex.__slots__)
-            held = sum(a.nbytes for a in arrays if isinstance(a, np.ndarray))
-            assert held == 4 * index._compiled_n + per_key
-            # scalar lookups search the key table with a Python int
-            assert index._unique.dtype == np.int64
+    def test_indexes_sort_nothing(self, small_artifacts):
+        log = small_artifacts.network.likes
+        page_index, user_index = log._page_index, log._user_index
+        # the page index compiled over the build, and every page it was
+        # asked for is a honeypot page above the build's pages
+        assert page_index._compiled_n > 0
+        assert min(small_artifacts.page_ids.values()) > page_index._key_range[1]
+        assert held_arrays(page_index) == {}
+        # the build's rows are in user order: the user index keeps one
+        # key and one start per run, and no row permutation
+        assert user_index._prefix_sorted
+        held = held_arrays(user_index)
+        assert sorted(held) == ["_starts", "_unique"]
+        # scalar lookups search the key table with a Python int
+        assert held["_unique"].dtype == held["_starts"].dtype == np.int64
+        assert held["_starts"].shape[0] == held["_unique"].shape[0] + 1
 
     def test_graph_per_edge_arrays_hold_4_bytes_per_element(self, network):
         graph = network.graph
@@ -62,8 +74,61 @@ class TestStudyLayout:
         assert graph._c_nodes.dtype == np.int64
 
 
+def held_arrays(index):
+    """The NumPy arrays an index holds, by slot name."""
+    slots = {slot: getattr(index, slot) for slot in ColumnIndex.__slots__}
+    return {slot: a for slot, a in slots.items() if isinstance(a, np.ndarray)}
+
+
 def log_lengths(log):
     return (len(log), len(log._users), len(log._pages), len(log._times))
+
+
+PAGES = [9_000_000 + row for row in range(7)]
+OTHER_PAGE = 9_000_050
+
+
+def log_with_one_later_event(later_at):
+    """Seven pages at time 2, except the one at row ``later_at``, at 9."""
+    log = LikeLog()
+    for row, page in enumerate(PAGES):
+        time = 9 if row == later_at else 2
+        log.record(LikeEvent(user_id=1_000_000 + row, page_id=page, time=time))
+    return log
+
+
+WRITES_AT_5 = {
+    "record": lambda log, page: log.record(
+        LikeEvent(user_id=1_000_100, page_id=page, time=5)
+    ),
+    "record_many": lambda log, page: log.record_many(1_000_100, [OTHER_PAGE, page], 5),
+    "record_arrays": lambda log, page: log.record_arrays(
+        np.array([1_000_100, 1_000_101]), np.array([OTHER_PAGE, page]), 5
+    ),
+}
+
+
+class TestChronologyScan:
+    """A write below the newest time is checked by a chunked time scan."""
+
+    @pytest.mark.parametrize("chunk", [1, 3])
+    @pytest.mark.parametrize("later_at", range(len(PAGES)))
+    @pytest.mark.parametrize("write", WRITES_AT_5.values(), ids=WRITES_AT_5.keys())
+    def test_refuses_only_the_page_with_a_later_event(self, chunk, later_at, write):
+        with mock.patch.object(columns, "_COMPILE_CHUNK", chunk):
+            log = log_with_one_later_event(later_at)
+            before = log_lengths(log)
+            with pytest.raises(ValidationError, match="chronological order"):
+                write(log, PAGES[later_at])
+            assert log_lengths(log) == before
+            for page in PAGES:
+                if page != PAGES[later_at]:
+                    write(log, page)
+            assert len(log) > before[0]
+            assert log_lengths(log) == (len(log),) * 4
+        # the check never asked the page index
+        assert log._page_index._key_range is None
+        assert held_arrays(log._page_index) == {}
 
 
 def graph_lengths(graph):

@@ -1,12 +1,15 @@
 """Pins for the sorts that compile the like log's indexes and the graph.
 
-``ColumnIndex.compile``, ``FriendshipGraph._compile`` and
-``sorted_unique`` each sort packed int64 keys in place.  The reference
-classes keep the algorithms these replaced inside the test: a stable
-argsort for the index, a ``lexsort`` build for the CSR adjacency and
-``np.unique`` for the dedup.  The negative-endpoint class pins the
-graph over the whole int32 range against a plain set model, and the
-scratch class pins the tracemalloc peak of each compile.
+A ``ColumnIndex`` groups its compiled prefix into runs only for a query
+inside the prefix's key range: a non-decreasing prefix is its own order,
+and any other is sorted as packed int64 keys in place.
+``FriendshipGraph._compile`` and ``sorted_unique`` sort packed keys too.
+The reference classes keep the algorithms these replaced inside the
+test: a stable argsort for the index, a ``lexsort`` build for the CSR
+adjacency and ``np.unique`` for the dedup.  The negative-endpoint class
+pins the graph over the whole int32 range against a plain set model,
+and the scratch class pins the tracemalloc peak of each compile and of
+the queries that group an index.
 """
 
 import itertools
@@ -109,40 +112,91 @@ def reference_index(keys):
 
 @st.composite
 def key_columns(draw):
-    """int32 columns with repeated keys, drawn, presorted or reversed."""
+    """int32 columns with repeated keys: drawn, presorted, reversed, or a
+    sorted prefix followed by up to ``max(1024, prefix)`` drawn rows."""
     pool = draw(st.lists(int32s, min_size=1, max_size=6))
-    keys = draw(st.lists(st.one_of(st.sampled_from(pool), int32s), max_size=120))
-    shape = draw(st.sampled_from(["drawn", "sorted", "reversed"]))
-    if shape != "drawn":
+    key = st.one_of(st.sampled_from(pool), int32s)
+    keys = draw(st.lists(key, max_size=120))
+    shape = draw(st.sampled_from(["drawn", "sorted", "reversed", "sorted prefix"]))
+    if shape == "sorted prefix":
+        keys.sort()
+        tail_cap = max(1024, len(keys))
+        keys += draw(st.lists(key, max_size=tail_cap))
+    elif shape != "drawn":
         keys.sort(reverse=shape == "reversed")
     return np.array(keys, dtype=np.int32)
 
 
+def compiled_prefix(keys, min_tail):
+    """Rows a compile takes: the longest non-decreasing prefix if the rest
+    fits in a tail of ``max(min_tail, prefix)`` rows, else every row."""
+    descents = np.flatnonzero(keys[1:] < keys[:-1])
+    prefix = int(descents[0]) + 1 if descents.shape[0] else keys.shape[0]
+    if keys.shape[0] - prefix <= max(min_tail, prefix):
+        return prefix
+    return keys.shape[0]
+
+
+def absent_inside(unique):
+    """A key strictly between two present keys, or ``None`` if none is free."""
+    gaps = np.flatnonzero(np.diff(unique) > 1)
+    return int(unique[gaps[0]]) + 1 if gaps.shape[0] else None
+
+
+def holds_no_row_array(index):
+    return index._order is None and index._unique is None and index._starts is None
+
+
 class TestIndexMatchesStableArgsort:
     @settings(max_examples=150, deadline=None)
-    @given(keys=key_columns(), chunk=st.sampled_from([1, 3, 1 << 16]), absent=int32s)
-    def test_compiled_index(self, keys, chunk, absent):
-        with mock.patch.object(columns, "_COMPILE_CHUNK", chunk):
-            index = ColumnIndex()
-            index.compile(keys)
+    @given(
+        keys=key_columns(),
+        chunk=st.sampled_from([1, 3, 1 << 16]),
+        min_tail=st.sampled_from([0, 1024]),
+        absent=int32s,
+    )
+    def test_compiled_index(self, keys, chunk, min_tail, absent):
         order, unique, starts = reference_index(keys)
-        assert index._order.dtype == np.int32
-        assert index._unique.dtype == np.int64
-        assert index._starts.dtype == np.int64
-        np.testing.assert_array_equal(index._order, order)
-        np.testing.assert_array_equal(index._unique, unique)
-        np.testing.assert_array_equal(index._starts, starts)
         runs = {
             key: order[lo:hi]
             for key, lo, hi in zip(unique.tolist(), starts[:-1], starts[1:])
         }
-        for key in [*runs, absent]:
-            run = runs.get(key, order[:0])
-            np.testing.assert_array_equal(index.positions(key, keys), run)
-            assert index.count(key, keys) == run.shape[0]
-        query = np.array([*runs, absent], dtype=np.int64)
-        expected = [runs[key][-1] if key in runs else -1 for key in query.tolist()]
-        assert index.last_positions(query, keys).tolist() == expected
+        prefix = compiled_prefix(keys, min_tail)
+        compiled = keys[:prefix]
+        low, high = (int(compiled.min()), int(compiled.max())) if prefix else (0, -1)
+        outside = high + 1 if high < INT32_MAX else low - 1
+        queries = [*runs, absent, outside]
+        inside = absent_inside(unique)
+        if inside is not None and low <= inside <= high:
+            queries.append(inside)
+        # every key outside the prefix's range first: they read only the tail
+        queries.sort(key=lambda key: low <= key <= high)
+        with mock.patch.object(columns, "_COMPILE_CHUNK", chunk), mock.patch.object(
+            columns, "_MIN_TAIL", min_tail
+        ):
+            index = ColumnIndex()
+            index.compile(keys)
+            assert index._compiled_n == prefix
+            for key in queries:
+                if not low <= key <= high:
+                    assert holds_no_row_array(index), key
+                run = runs.get(key, order[:0])
+                np.testing.assert_array_equal(index.positions(key, keys), run)
+                assert index.count(key, keys) == run.shape[0]
+        if not prefix:
+            assert holds_no_row_array(index)
+            return
+        prefix_order, prefix_unique, prefix_starts = reference_index(compiled)
+        assert index._unique.dtype == np.int64
+        assert index._starts.dtype == np.int64
+        np.testing.assert_array_equal(index._unique, prefix_unique)
+        np.testing.assert_array_equal(index._starts, prefix_starts)
+        if index._prefix_sorted:
+            # a non-decreasing prefix is its own order
+            assert index._order is None
+        else:
+            assert index._order.dtype == np.int32
+            np.testing.assert_array_equal(index._order, prefix_order)
 
 
 def reference_csr(a, b, explicit):
@@ -225,19 +279,61 @@ def traced_peak(compile_step) -> int:
         tracemalloc.stop()
 
 
-class TestCompileScratch:
-    """The tracemalloc peak of each compile, its outputs included.
+def page_keys():
+    """1M page ids in no order, as the world build leaves the page column."""
+    generator = RngStream(20140312, "index keys").generator
+    return generator.integers(9_000_000, 9_002_000, 1_000_000, dtype=np.int32)
 
-    ``_order`` alone is 4 bytes per row and the compiled graph 16 bytes
-    per distinct edge plus its node tables.
+
+class TestCompileScratch:
+    """The tracemalloc peak of each compile and first query, outputs included.
+
+    ``_order`` alone is 4 bytes per row, an index's run tables 16 bytes
+    per distinct key and the compiled graph 16 bytes per distinct edge
+    plus its node tables.
     """
 
     def test_index_compile_under_12_75_bytes_per_row(self):
-        generator = RngStream(20140312, "index keys").generator
-        keys = generator.integers(9_000_000, 9_002_000, 1_000_000, dtype=np.int32)
+        keys = page_keys()
         index = ColumnIndex()
-        peak = traced_peak(lambda: index.compile(keys))
+
+        def compile_and_query():
+            index.compile(keys)
+            # a key inside the range sorts the unsorted column
+            index.positions(9_001_000, keys)
+
+        peak = traced_peak(compile_and_query)
+        assert index._order is not None
         assert peak / keys.shape[0] < 12.75
+
+    def test_query_outside_the_range_under_1_byte_per_row(self):
+        keys = page_keys()
+        index = ColumnIndex()
+
+        def compile_and_query():
+            index.compile(keys)
+            assert index.positions(9_002_000, keys).shape[0] == 0
+
+        peak = traced_peak(compile_and_query)
+        assert holds_no_row_array(index)
+        assert peak / keys.shape[0] < 1
+
+    def test_sorted_column_with_a_tail_under_2_bytes_per_row(self):
+        generator = RngStream(20140312, "user keys").generator
+        users = generator.integers(1_000_000, 1_013_000, 1_000_000, dtype=np.int32)
+        users.sort()
+        tail = generator.integers(1_000_000, 1_013_000, 20_000, dtype=np.int32)
+        keys = np.concatenate([users, tail])
+        index = ColumnIndex()
+        compile_peak = traced_peak(lambda: index.compile(keys))
+        # bucket the tail first: its per-key lists hold Python ints, about
+        # 100 bytes per tail row, and are not the prefix's arrays measured here
+        index.ensure(keys)
+        query_peak = traced_peak(lambda: index.positions(1_006_500, keys))
+        assert index._compiled_n == users.shape[0]
+        assert index._order is None
+        assert index._unique.shape[0] == 13_000
+        assert max(compile_peak, query_peak) / keys.shape[0] < 2
 
     def test_graph_compile_under_35_bytes_per_edge(self):
         generator = RngStream(20140312, "edges").generator
