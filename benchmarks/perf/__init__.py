@@ -7,7 +7,4 @@ the paper-scale study produces, this package tracks *how fast* it runs:
   cProfiles ``HoneypotExperiment.paper_scale().run()`` and writes
   ``BENCH_pipeline.json`` so future PRs have a perf trajectory to regress
   against.
-* :mod:`benchmarks.perf.microbench` — micro-benchmarks of the hot OSN
-  write paths (scalar vs bulk like recording, friendship wiring, weighted
-  sampling).
 """

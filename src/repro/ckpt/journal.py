@@ -42,16 +42,6 @@ from repro.ckpt.errors import CheckpointError
 from repro.obs.metrics import NULL_METRICS, MetricsRegistry
 from repro.util.durable import atomic_write_text, fsync_handle
 
-# Crash/stall injection migrated onto the failpoint registry: the env
-# spellings below survive as aliases that repro.failpoints.install_from_env
-# translates onto the ``ckpt.journal.record`` failpoint (the hit() call in
-# :meth:`DatasetJournal._write_row`, fired after the record is flushed to
-# the OS).  Re-exported here because the harnesses import them from this
-# module.
-CRASH_AFTER_ENV = failpoints.CRASH_AFTER_ENV
-STALL_AFTER_ENV = failpoints.STALL_AFTER_ENV
-STALL_SECONDS_ENV = failpoints.STALL_SECONDS_ENV
-
 #: Journal format identifier (bump on breaking layout changes).
 JOURNAL_SCHEMA = "repro.ckpt/journal@1"
 
@@ -260,9 +250,9 @@ class DatasetJournal:
             self._handle.flush()
             # The record is in the OS page cache, where a SIGKILL cannot
             # reach it; a kill/stall fired here lands at a reproducible
-            # journal position (the legacy CRASH_AFTER/STALL envs alias
-            # onto this name), and an errno fired here refuses through the
-            # same channel a real disk fault would.
+            # journal position (``ckpt.journal.record=kill@N`` is "after
+            # the Nth record, header included"), and an errno fired here
+            # refuses through the same channel a real disk fault would.
             failpoints.hit("ckpt.journal.record")
         except OSError as error:
             raise CheckpointError(

@@ -28,11 +28,10 @@ SIGKILLs; ``exit:<code>`` hard-exits; ``raise`` raises
 interruptibly once; ``hang`` never returns; ``count`` only counts
 (coverage mode — ``*=count`` arms every registered name).
 
-The legacy harness envs (``REPRO_CKPT_CRASH_AFTER``,
-``REPRO_CKPT_STALL_AFTER``/``_SECONDS``) are kept as aliases: they
-translate onto ``ckpt.journal.record`` here, preserving the original
-"after the Nth journaled record" semantics, header included (the record
-is flushed to the OS, so a SIGKILL there keeps it; the fsync comes later,
+A kill after the Nth journaled record, header included, is
+``ckpt.journal.record=kill@N`` and a stall there
+``ckpt.journal.record=stall:<seconds>@N``: the record is flushed to the
+OS before the hit, so a SIGKILL there keeps it (the fsync comes later,
 once per checkpoint barrier).
 
 Firing is announced on stderr and — when a metrics registry is bound via
@@ -53,13 +52,6 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 #: The activation environment variable (spec string, comma-separated).
 ENV_VAR = "REPRO_FAILPOINTS"
-
-#: Legacy alias — SIGKILL after the Nth journaled record (header included).
-CRASH_AFTER_ENV = "REPRO_CKPT_CRASH_AFTER"
-#: Legacy alias — stall once after the Nth journaled record ...
-STALL_AFTER_ENV = "REPRO_CKPT_STALL_AFTER"
-#: ... for this many seconds (default 60).
-STALL_SECONDS_ENV = "REPRO_CKPT_STALL_SECONDS"
 
 #: Actions a failpoint may fire (the part before ``:<arg>``).
 ACTIONS = ("errno", "kill", "torn", "exit", "raise", "stall", "hang", "count")
@@ -117,11 +109,10 @@ register("ckpt.snapshot.load")
 register("ckpt.manifest.write")
 register("ckpt.manager.resume")
 
-# -- repro.store: SQLite open/ingest/export and the shard merge
+# -- repro.store: SQLite open/ingest/export
 register("store.open")
 register("store.ingest.batch")
 register("store.export.rows")
-register("store.merge.shard")
 
 # -- repro.shard: the worker file protocol and supervisor restarts
 register("shard.worker.hang")
@@ -216,22 +207,12 @@ def configure(text: str) -> List[FaultSpec]:
 
 
 def install_from_env(environ=None) -> List[FaultSpec]:
-    """Arm failpoints from :data:`ENV_VAR` plus the legacy alias envs."""
+    """Arm the failpoints named in :data:`ENV_VAR`."""
     env = os.environ if environ is None else environ
-    parts: List[str] = []
     text = env.get(ENV_VAR, "").strip()
-    if text:
-        parts.append(text)
-    crash_after = env.get(CRASH_AFTER_ENV, "").strip()
-    if crash_after:
-        parts.append(f"ckpt.journal.record=kill@{int(crash_after)}")
-    stall_after = env.get(STALL_AFTER_ENV, "").strip()
-    if stall_after:
-        seconds = float(env.get(STALL_SECONDS_ENV, "60"))
-        parts.append(f"ckpt.journal.record=stall:{seconds}@{int(stall_after)}")
-    if not parts:
+    if not text:
         return []
-    return configure(",".join(parts))
+    return configure(text)
 
 
 def reset() -> None:

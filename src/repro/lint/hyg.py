@@ -174,7 +174,7 @@ class SlotlessDataclassRule(Rule):
 _COLUMNAR_CONSTRUCTORS = frozenset({"TypedVector", "LikeLog", "ProfileStore"})
 
 #: Per-element write methods on those stores.  Batch entry points
-#: (``extend``, ``record_many``, ``add_many``) are the sanctioned path.
+#: (``extend``, ``record_arrays``, ``add_many``) are the sanctioned path.
 _SCALAR_WRITE_METHODS = frozenset({"append", "record", "add"})
 
 

@@ -43,9 +43,7 @@ ALLOWED_DEPS: Dict[str, Tuple[str, ...]] = {
     "detection": ("analysis", "honeypot", "obs", "osn", "util"),
     "core": ("analysis", "honeypot", "obs", "util"),
     "shard": ("ckpt", "failpoints", "honeypot", "obs", "util"),
-    "store": (
-        "analysis", "ckpt", "failpoints", "honeypot", "obs", "shard", "util",
-    ),
+    "store": ("analysis", "ckpt", "failpoints", "honeypot", "obs", "util"),
     # the linter is a standalone tool: nothing runtime may import it,
     # and it imports nothing runtime
     "lint": (),

@@ -114,36 +114,6 @@ class LikeLog:
         if time > self._max_time:
             self._max_time = time
 
-    def record_many(
-        self, user_id: UserId, page_ids: Sequence[PageId], time: int
-    ) -> None:
-        """Append one like event per page for ``user_id``, all at ``time``.
-
-        The batch fast path: time validity is checked once, and because
-        the engine delivers events chronologically, the per-page
-        chronological invariant usually reduces to a single comparison
-        against the global high-water mark.  Callers
-        (``SocialNetwork.like_pages_bulk``) guarantee ``page_ids`` holds
-        no duplicates and no already-liked pages.
-        """
-        k = len(page_ids)
-        if k == 0:
-            return
-        require(time >= 0, "like time must be >= 0")
-        check_int32(time, "like time")
-        check_int32(user_id, "user id")
-        pages = as_int32(page_ids, "page id")
-        # Validate before mutating: a batch either applies in full or not
-        # at all, so a rejected batch never leaves the columns
-        # half-written.
-        self._check_chronology(pages, time)
-        self._pages.extend(pages)
-        self._users.extend_full(k, user_id)
-        self._times.extend_full(k, time)
-        self._count += k
-        if time > self._max_time:
-            self._max_time = time
-
     def record_arrays(
         self, user_ids: np.ndarray, page_ids: np.ndarray, time: int
     ) -> None:
@@ -151,10 +121,10 @@ class LikeLog:
 
         The production bulk path: one call lands every like a world
         generator cohort produced (organic users, farm accounts, click
-        workers).  Same validation contract as
-        :meth:`record_many` (batch atomicity, ids and time within int32,
-        chronological order per page), one column append for the whole
-        cohort.  Columns of different lengths are refused whole too.
+        workers).  A batch applies in full or not at all: a negative
+        time, an id or time outside int32, a page holding a later event,
+        and columns of different lengths are each refused before any
+        column grows.  One column append lands the whole cohort.
         """
         if len(user_ids) != len(page_ids):
             raise ValidationError(

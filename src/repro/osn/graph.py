@@ -252,26 +252,14 @@ class FriendshipGraph:
         self._note_new_endpoint(b)
         self._overlay_edge_count += 1
 
-    def add_friendships_bulk(self, pairs: Iterable[Tuple[UserId, UserId]]) -> int:
-        """Add many undirected edges; returns how many were new.
+    def add_friendship_arrays(self, a, b) -> int:
+        """Add the undirected edges ``(a[i], b[i])``; returns how many were new.
 
         Behaviour per pair matches :meth:`add_friendship` (idempotent,
-        self-loops rejected).  A batch with a self-loop is rejected
-        whole, before any edge is added, so the edge count always
-        matches the adjacency.
-        """
-        pairs = list(pairs)
-        if not pairs:
-            return 0
-        arr = np.asarray(pairs, dtype=np.int64)
-        return self.add_friendship_arrays(arr[:, 0], arr[:, 1])
-
-    def add_friendship_arrays(self, a, b) -> int:
-        """Vectorised :meth:`add_friendships_bulk` over endpoint arrays.
-
-        The configuration-model wiring feeds ~190k pairs per paper-scale
-        build; one compile absorbs the whole batch.  A batch with an
-        endpoint outside int32 is rejected whole, like a self-loop.
+        self-loops rejected).  The configuration-model wiring feeds ~190k
+        pairs per paper-scale build; one compile absorbs the whole batch.
+        A batch with a self-loop or an endpoint outside int32 is rejected
+        whole, before any edge is added.
         """
         a = as_int32(a, "friendship endpoint")
         b = as_int32(b, "friendship endpoint")

@@ -198,22 +198,12 @@ class SocialNetwork:
         require(not self.profiles.is_terminated(b), f"user {b} is terminated")
         self.graph.add_friendship(a, b)
 
-    def add_friendships_bulk(self, pairs: Iterable[Tuple[UserId, UserId]]) -> int:
-        """Create many friendships at once; returns the number of new edges.
-
-        Semantically identical to calling :meth:`add_friendship` per pair
-        (idempotent edges, self-loops rejected, both endpoints must be live
-        accounts), but validation is vectorised over the batch.
-        """
-        pairs = list(pairs)
-        if not pairs:
-            return 0
-        arr = np.asarray(pairs, dtype=np.int64)
-        return self.add_friendships_arrays(arr[:, 0], arr[:, 1])
-
     def add_friendships_arrays(self, a, b) -> int:
-        """Vectorised :meth:`add_friendships_bulk` over endpoint arrays.
+        """Create the friendships ``(a[i], b[i])``; returns how many were new.
 
+        The batch counterpart of :meth:`add_friendship`: edges are
+        idempotent, and a batch with a self-loop or an endpoint that is
+        not a live account is refused whole, before any edge is added.
         The paper-scale world wires ~370k stub pairs; array-in, array-out
         keeps the whole validation one masked comparison per endpoint.
         """
@@ -330,73 +320,6 @@ class SocialNetwork:
         likers.add(user_id)
         return True
 
-    def like_pages_bulk(
-        self, user_id: UserId, page_ids: Iterable[PageId], time: int
-    ) -> int:
-        """Record ``user_id`` liking every page in ``page_ids`` at ``time``.
-
-        The batch counterpart of :meth:`like_page`: one user, many pages, a
-        single timestamp (the world generators assign a user's whole liked
-        set at once).  User and time validity are checked once per batch;
-        already-liked and duplicate pages are skipped, matching the scalar
-        idempotence.  Returns the number of *new* likes recorded.  Final
-        network state is identical to looping :meth:`like_page` over
-        ``page_ids`` in order — except on validation failure, where the
-        batch applies nothing (a scalar loop would apply the prefix before
-        the bad page; it never leaves likes half-recorded, and neither does
-        this).
-        """
-        require(self.has_user(user_id), f"unknown user {user_id}")
-        require(
-            not self.profiles.is_terminated(user_id),
-            f"terminated user {user_id} cannot like",
-        )
-        require(time >= 0, "like time must be >= 0")
-        liked = self.user_liked_page_ids(user_id)
-        seen: Set[PageId] = set()
-        fresh: List[PageId] = []
-        for page_id in page_ids:
-            if page_id in liked or page_id in seen:
-                continue
-            if page_id not in self._pages:
-                raise ValidationError(f"unknown page {page_id}")
-            seen.add(page_id)
-            fresh.append(page_id)
-        if fresh:
-            # record_many validates chronology before touching the log, so
-            # updating the liker sets after it keeps the batch atomic.
-            self.likes.record_many(user_id, fresh, time)
-            self._note_bulk_likes(user_id, fresh)
-        return len(fresh)
-
-    def like_pages_fresh(
-        self, user_id: UserId, page_ids, time: int
-    ) -> int:
-        """Record likes for pages the caller guarantees are new.
-
-        The generators' write path: ``page_ids`` (array-like) holds no
-        duplicates and no already-liked pages — world builders sample
-        each user's liked set without replacement from disjoint segments
-        — so the per-page idempotence probe of :meth:`like_pages_bulk`
-        is skipped entirely.  Validation (known user/pages, time) and
-        batch atomicity are identical; returns the number of likes.
-        """
-        require(self.has_user(user_id), f"unknown user {user_id}")
-        require(
-            not self.profiles.is_terminated(user_id),
-            f"terminated user {user_id} cannot like",
-        )
-        pages = np.asarray(page_ids, dtype=np.int64)
-        if pages.shape[0] == 0:
-            return 0
-        rows = pages - _PAGE_ID_BASE
-        known = (rows >= 0) & (rows < len(self._pages))
-        if not bool(np.all(known)):
-            raise ValidationError(f"unknown page {int(pages[~known][0])}")
-        self.likes.record_many(user_id, pages, time)
-        self._note_bulk_likes(user_id, pages)
-        return int(pages.shape[0])
-
     def like_pages_fresh_many(
         self, user_ids: Sequence[UserId], pages, counts, time: int
     ) -> int:
@@ -405,13 +328,17 @@ class SocialNetwork:
         ``pages`` is one page-id column holding each user's pages in turn:
         the first ``counts[0]`` belong to ``user_ids[0]``, the next
         ``counts[1]`` to ``user_ids[1]``, and so on — the layout
-        :meth:`PageUniverse.sample_likes_many` returns.  The same per-user
-        freshness guarantees as :meth:`like_pages_fresh` apply.  Events
-        land user-by-user in caller order, so the log is byte-identical to
-        looping :meth:`like_pages_fresh` — but users, pages, and validation
-        each cost one vectorised pass instead of one Python call per user.
-        Counts that do not split ``pages`` among ``user_ids`` are refused
-        before anything is written.  Returns the number of likes recorded.
+        :meth:`PageUniverse.sample_likes_many` returns.  The caller
+        guarantees each user's pages hold no duplicates and no
+        already-liked page (world builders sample each liked set without
+        replacement from disjoint segments), so the per-page idempotence
+        probe of :meth:`like_page` is skipped.  Events land user-by-user
+        in caller order, so every like query answers as after a
+        :meth:`like_page` loop over the same pairs — but users, pages, and
+        validation each cost one vectorised pass.  Counts that do not
+        split ``pages`` among ``user_ids``, an unknown or terminated user,
+        an unknown page, and a time the log refuses are all refused before
+        anything is written.  Returns the number of likes recorded.
         """
         users = np.asarray(user_ids, dtype=np.int64)
         counts = np.asarray(counts, dtype=np.int64)
@@ -442,45 +369,6 @@ class SocialNetwork:
                 if likers is not None:
                     likers.add(user_id)
         return total
-
-    def _note_bulk_likes(self, user_id: UserId, page_ids) -> None:
-        """Keep any materialised liker sets coherent after a bulk write."""
-        if not self._liker_sets:
-            return
-        for page_id in page_ids:
-            likers = self._liker_sets.get(int(page_id))
-            if likers is not None:
-                likers.add(user_id)
-
-    def like_page_many(self, events: Iterable[LikeEvent]) -> int:
-        """Record a heterogeneous batch of like events (many users/pages/times).
-
-        Validates users and pages once per batch, then applies each event in
-        order with the scalar idempotence rules.  Events must respect the
-        per-page chronological invariant, as with :meth:`like_page`.  Returns
-        the number of new likes recorded.
-        """
-        events = list(events)
-        # repro-lint: allow-DET003 validation-only loop; each element raises or passes independently
-        for user_id in {e.user_id for e in events}:
-            require(self.has_user(user_id), f"unknown user {user_id}")
-            require(
-                not self.profiles.is_terminated(user_id),
-                f"terminated user {user_id} cannot like",
-            )
-        # repro-lint: allow-DET003 validation-only loop; each element raises or passes independently
-        for page_id in {e.page_id for e in events}:
-            require(page_id in self._pages, f"unknown page {page_id}")
-        count = 0
-        for event in events:
-            likers = self._liker_set(event.page_id)
-            if event.user_id in likers:
-                continue
-            likers.add(event.user_id)
-            # repro-lint: allow-HYG004 heterogeneous per-event path; batches here are tiny (one farm burst)
-            self.likes.record(event)
-            count += 1
-        return count
 
     def page_liker_ids(self, page_id: PageId) -> List[UserId]:
         """Likers of ``page_id`` in arrival order (terminated accounts included).

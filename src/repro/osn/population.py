@@ -250,7 +250,7 @@ class WorldBuilder:
 
         Fully vectorised: stub expansion, shuffling, and pairing are array
         ops, and the resulting edge list lands through
-        :meth:`SocialNetwork.add_friendships_bulk`.  The shuffle consumes a
+        :meth:`SocialNetwork.add_friendships_arrays`.  The shuffle consumes a
         single permutation draw, exactly as the scalar version did.
         """
         degrees = np.asarray(self.config.friend_count.sample_many(rng, len(user_ids)))

@@ -23,18 +23,16 @@ a final checkpoint snapshot for *this shard* before the worker exits 130
 — every live shard leaves a durable record of how far it got, not just
 the supervisor.
 
-Fault-injection scoping: all injection now runs through the failpoint
+Fault-injection scoping: all injection runs through the failpoint
 registry (:mod:`repro.failpoints`); workers arm it from the inherited
-environment (``REPRO_FAILPOINTS`` plus the legacy ``REPRO_CKPT_*`` alias
-envs) on entry.  Because spawned workers inherit the supervisor's
-environment verbatim, an armed spec would hit every worker of a sharded
-run at once — ``REPRO_SHARD_TARGET`` narrows the injection to one shard
-id, and a restarted worker (attempt > 0) always scrubs it so injected
-crashes do not recur forever.  The legacy ``REPRO_SHARD_HANG`` /
-``REPRO_SHARD_POISON`` envs alias onto the ``shard.worker.hang`` /
-``shard.worker.poison`` failpoints: hang simulates a hung worker (alive,
-heartbeat silent) on attempt 0; poison raises on every attempt, driving
-the quarantine path.
+``REPRO_FAILPOINTS`` environment on entry.  Because spawned workers
+inherit the supervisor's environment verbatim, an armed spec would hit
+every worker of a sharded run at once — ``REPRO_SHARD_TARGET`` narrows
+the injection to one shard id, and a restarted worker (attempt > 0)
+always scrubs it so injected crashes do not recur forever.  A spec
+therefore never survives a restart; ``REPRO_SHARD_POISON`` is the one
+fault that does: it arms the ``shard.worker.poison`` failpoint on every
+attempt, driving the quarantine path.
 """
 
 from __future__ import annotations
@@ -52,8 +50,6 @@ from repro.util.durable import atomic_write_json
 
 #: Scope the injection envs (failpoints included) to one shard id.
 TARGET_ENV = "REPRO_SHARD_TARGET"
-#: Targeted shard hangs (alive, no heartbeat) on its first attempt.
-HANG_ENV = "REPRO_SHARD_HANG"
 #: Targeted shard raises on every attempt (the quarantine driver).
 POISON_ENV = "REPRO_SHARD_POISON"
 
@@ -105,18 +101,14 @@ def _arm_failpoints(shard_id: str, attempt: int) -> None:
     source.  ``REPRO_SHARD_TARGET`` narrows it to one shard, and injected
     faults hit their target's first attempt only — a restarted worker (or
     an untargeted sibling) must run clean or no retry ever heals.  Poison
-    is the exception: it recurs on every attempt (the quarantine driver),
-    matching the legacy ``REPRO_SHARD_POISON`` contract.
+    (``REPRO_SHARD_POISON``) is the exception: it recurs on every attempt
+    (the quarantine driver).
     """
     target = os.environ.get(TARGET_ENV)
     targeted = target is None or target == shard_id
     if not targeted or attempt > 0:
         os.environ.pop(failpoints.ENV_VAR, None)
-        os.environ.pop(failpoints.CRASH_AFTER_ENV, None)
-        os.environ.pop(failpoints.STALL_AFTER_ENV, None)
     failpoints.install_from_env()
-    if os.environ.get(HANG_ENV) and targeted and attempt == 0:
-        failpoints.configure("shard.worker.hang=hang")
     if os.environ.get(POISON_ENV) and targeted:
         failpoints.configure(
             f"shard.worker.poison=raise:injected poison in shard {shard_id}"

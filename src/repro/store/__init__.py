@@ -4,18 +4,14 @@ The package splits along the three layers the store serves:
 
 * :mod:`repro.store.store` — the :class:`HoneypotStore` itself: schema
   lifecycle, batched ingest, record accessors, byte-identical export.
-* :mod:`repro.store.ingest` — WAL replay and shard-merge producers that
-  land in store tables without a merged in-memory dataset.
+* :mod:`repro.store.ingest` — WAL replay: a checkpoint journal lands in
+  store tables without a finished dataset, and rebuilds a damaged store.
 * :mod:`repro.store.queries` — the analyses as SQL/incremental queries,
   result-equal to their in-memory references.
 """
 
 from repro.store.errors import StoreError
-from repro.store.ingest import (
-    ingest_journal,
-    merge_shards_into_store,
-    repair_from_journal,
-)
+from repro.store.ingest import ingest_journal, repair_from_journal
 from repro.store.schema import STORE_SCHEMA
 from repro.store.store import HoneypotStore
 
@@ -24,6 +20,5 @@ __all__ = [
     "StoreError",
     "STORE_SCHEMA",
     "ingest_journal",
-    "merge_shards_into_store",
     "repair_from_journal",
 ]

@@ -154,65 +154,20 @@ def zipf_weights(n: int, exponent: float = 1.0) -> np.ndarray:
     return weights / weights.sum()
 
 
-def weighted_sample_without_replacement(
-    rng: RngStream, items: Sequence, weights: np.ndarray, k: int
-) -> List:
-    """Sample ``k`` distinct items with probability proportional to weight.
-
-    Implemented via the exponential-sort trick (Efraimidis–Spirakis), which
-    is exact and vectorised.
-    """
-    require(len(items) == len(weights), "items and weights must align")
-    require(0 <= k <= len(items), f"cannot sample {k} of {len(items)} items")
-    # When ``items`` is an ndarray the result is an ndarray too (a copy,
-    # never a view), selected by the same indices in the same order as the
-    # list path — the columnar generators rely on this to skip the
-    # per-element ``items[i]`` materialisation loop.
-    array_items = isinstance(items, np.ndarray)
-    if k == 0:
-        return items[:0].copy() if array_items else []
-    weights = np.asarray(weights, dtype=float)
-    min_weight = float(weights.min())
-    require(min_weight >= 0, "weights must be non-negative")
-    if k == len(items):
-        # Short-circuit: the "sample" is the whole population.  Skip the key
-        # computation but consume the same number of uniform draws as the
-        # weighted path, so downstream draws from the shared stream stay
-        # aligned.  Items come back in population order rather than the
-        # weighted path's key order (callers treat results as sets).
-        require(min_weight > 0, "not enough positive-weight items to sample")
-        rng.generator.random(len(weights))
-        return items.copy() if array_items else list(items)
-    if min_weight > 0:
-        # All-positive fast path (the common case: Zipf popularity weights):
-        # no mask allocation or fancy indexing, but bit-identical keys —
-        # and therefore an identical sample — to the masked path below.
-        draws = rng.generator.random(len(weights))
-        keys = np.log(draws) / weights
-    else:
-        positive = weights > 0
-        require(int(positive.sum()) >= k, "not enough positive-weight items to sample")
-        keys = np.full(len(weights), -np.inf)
-        draws = rng.generator.random(int(positive.sum()))
-        keys[positive] = np.log(draws) / weights[positive]
-    chosen = np.argpartition(keys, -k)[-k:]
-    if array_items:
-        return items[chosen]
-    return [items[i] for i in chosen.tolist()]
-
-
 def weighted_sample_positive(
     rng: RngStream, items: np.ndarray, weights: np.ndarray, k: int
 ) -> np.ndarray:
-    """Trusted fast path of :func:`weighted_sample_without_replacement`.
+    """Sample ``k`` distinct items with probability proportional to weight.
 
-    The caller guarantees ``items`` is an ndarray, ``weights`` a strictly
-    positive float array of the same length, and ``0 <= k <= len(items)``
-    (the page universe's cached Zipf weights satisfy all three).  Consumes
-    the stream and computes the exponential-sort keys exactly like the
-    validated all-positive path, so samples are bit-identical — it only
-    skips the per-call validation, which dominates at tens of thousands of
-    small draws per world build.
+    Implemented via the exponential-sort trick (Efraimidis–Spirakis), which
+    is exact and vectorised.  The caller guarantees ``items`` is an
+    ndarray, ``weights`` a strictly positive float array of the same
+    length, and ``0 <= k <= len(items)`` (the page universe's cached Zipf
+    weights satisfy all three); nothing is validated, because the check
+    would dominate at tens of thousands of small draws per world build.
+    Every call consumes ``len(weights)`` uniforms, the whole-population
+    short cut included (which returns ``items`` in population order), so
+    the draws after it stay aligned.  The result is a copy, never a view.
     """
     if k == 0:
         return items[:0].copy()

@@ -1,11 +1,13 @@
-"""Scalar-vs-bulk equivalence for the OSN write paths.
+"""Scalar-vs-batch equivalence for the OSN write paths.
 
-The bulk APIs (`like_pages_bulk`, `like_page_many`, `add_friendships_bulk`,
-`LikeLog.record_many`) exist purely for speed; their contract is that final
-network state is identical to looping the scalar calls in the same order.
-These tests pin that contract at the unit level and end-to-end: a seeded
-small study must produce the identical dataset whether the generators write
-through the bulk fast path or through per-item scalar calls.
+The batch write paths production runs (`SocialNetwork.like_pages_fresh_many`
+over `LikeLog.record_arrays`, and `SocialNetwork.add_friendships_arrays`)
+exist purely for speed; their contract is that final network state is
+identical to looping the scalar calls (`like_page`, `LikeLog.record`,
+`add_friendship`) in the same order, and that a refused batch writes
+nothing.  These tests pin that contract at the unit level and end-to-end:
+a seeded small study must produce the identical dataset whether the
+generators write through the batch paths or through per-item scalar calls.
 """
 
 from __future__ import annotations
@@ -54,103 +56,6 @@ def _like_state(network: SocialNetwork, users, pages) -> tuple:
     )
 
 
-class TestLikePagesBulk:
-    def test_matches_scalar_loop(self):
-        scalar_net, users, pages = _network_with(3, 10)
-        bulk_net, bulk_users, bulk_pages = _network_with(3, 10)
-        batches = [pages[0:6], pages[3:9], pages[2:10:2]]
-        for user_id, batch in zip(users, batches):
-            for page_id in batch:
-                scalar_net.like_page(user_id, page_id, time=4)
-        for user_id, batch in zip(bulk_users, batches):
-            bulk_net.like_pages_bulk(user_id, batch, time=4)
-        assert _like_state(scalar_net, users, pages) == _like_state(
-            bulk_net, bulk_users, bulk_pages
-        )
-
-    def test_skips_duplicates_and_already_liked(self):
-        network, (alice, *_), pages = _network_with(1, 4)
-        network.like_page(alice, pages[0], time=0)
-        added = network.like_pages_bulk(
-            alice, [pages[0], pages[1], pages[1], pages[2]], time=1
-        )
-        assert added == 2
-        assert sorted(network.user_liked_page_ids(alice)) == sorted(pages[:3])
-        # the pre-existing like kept its original timestamp
-        assert network.likes.for_page(pages[0])[0].time == 0
-
-    def test_rejects_unknown_page_and_bad_time(self):
-        network, (alice, *_), pages = _network_with(1, 2)
-        with pytest.raises(ValidationError):
-            network.like_pages_bulk(alice, [pages[0], 424242], time=0)
-        with pytest.raises(ValidationError):
-            network.like_pages_bulk(alice, pages, time=-1)
-
-    def test_failed_batch_applies_nothing(self):
-        # A rejected batch must not leave the liker sets and the like log
-        # disagreeing: either every valid page before the bad one is fully
-        # recorded, or none is.  We guarantee the stronger form — nothing.
-        network, (alice, *_), pages = _network_with(1, 3)
-        with pytest.raises(ValidationError):
-            network.like_pages_bulk(alice, [pages[0], 424242, pages[1]], time=0)
-        assert network.user_liked_page_ids(alice) == set()
-        assert all(network.page_liker_ids(p) == [] for p in pages)
-        assert len(network.likes) == 0
-
-    def test_rejects_terminated_user(self):
-        network, (alice, *_), pages = _network_with(1, 2)
-        network.terminate_account(alice, time=5)
-        with pytest.raises(ValidationError):
-            network.like_pages_bulk(alice, pages, time=6)
-
-    def test_like_page_many_matches_scalar(self):
-        scalar_net, users, pages = _network_with(2, 5)
-        bulk_net, bulk_users, bulk_pages = _network_with(2, 5)
-        events = [
-            (0, 0, 1), (1, 0, 1), (0, 1, 2), (0, 0, 3),  # last is a repeat
-        ]
-        for u, p, t in events:
-            scalar_net.like_page(users[u], pages[p], time=t)
-        added = bulk_net.like_page_many(
-            LikeEvent(user_id=bulk_users[u], page_id=bulk_pages[p], time=t)
-            for u, p, t in events
-        )
-        assert added == 3
-        assert _like_state(scalar_net, users, pages) == _like_state(
-            bulk_net, bulk_users, bulk_pages
-        )
-
-
-class TestRecordMany:
-    def test_matches_scalar_records(self):
-        scalar_log, bulk_log = LikeLog(), LikeLog()
-        for page_id in (10, 11, 12):
-            scalar_log.record(LikeEvent(user_id=1, page_id=page_id, time=2))
-        bulk_log.record_many(1, [10, 11, 12], 2)
-        for page_id in (10, 11, 12):
-            assert scalar_log.for_page(page_id) == bulk_log.for_page(page_id)
-        assert scalar_log.for_user(1) == bulk_log.for_user(1)
-        assert len(scalar_log) == len(bulk_log) == 3
-
-    def test_rejects_out_of_order_and_negative_time(self):
-        log = LikeLog()
-        log.record_many(1, [10], 5)
-        with pytest.raises(ValidationError):
-            log.record_many(2, [10], 4)
-        with pytest.raises(ValidationError):
-            log.record_many(2, [11], -1)
-
-    def test_failed_batch_leaves_log_untouched(self):
-        log = LikeLog()
-        log.record_many(1, [10], 5)
-        with pytest.raises(ValidationError):
-            # page 11 would be fine; page 10 violates chronology
-            log.record_many(2, [11, 10], 4)
-        assert log.for_page(11) == ()
-        assert log.for_user(2) == ()
-        assert len(log) == 1
-
-
 class TestRecordArrays:
     """The cohort-wide columnar append is state-identical to scalar records."""
 
@@ -195,6 +100,18 @@ class TestRecordArrays:
         assert len(log) == 4
         assert [e.user_id for e in log.for_page(10)] == [1, 2]
 
+    def test_negative_time_raises_and_applies_nothing(self):
+        log = LikeLog()
+        log.record(LikeEvent(user_id=1, page_id=10, time=5))
+        with pytest.raises(ValidationError, match="like time must be >= 0"):
+            log.record_arrays(
+                np.array([2, 2], dtype=np.int64),
+                np.array([11, 12], dtype=np.int64),
+                -1,
+            )
+        assert log.for_user(2) == ()
+        assert len(log) == 1
+
     def test_misaligned_columns_raise_and_apply_nothing(self):
         log = LikeLog()
         log.record(LikeEvent(user_id=1, page_id=10, time=5))
@@ -211,8 +128,68 @@ class TestRecordArrays:
         # the chronology check scans the time column in chunks
         with mock.patch.object(columns, "_COMPILE_CHUNK", chunk):
             self.test_out_of_order_batch_raises_and_applies_nothing()
+            self.test_negative_time_raises_and_applies_nothing()
             self.test_equal_time_batch_accepted_below_high_water_mark()
             self.test_misaligned_columns_raise_and_apply_nothing()
+
+
+def _log_state(log: LikeLog, users, pages) -> tuple:
+    return (
+        [log.for_page(p) for p in pages],
+        [log.for_user(u) for u in users],
+        [log.page_like_times(p) for p in pages],
+        len(log),
+    )
+
+
+class TestRecordMany:
+    """Many `record_arrays` batches into one log, read between batches,
+    land like a scalar `record` loop over the same events."""
+
+    # (users, pages, time) in arrival order; the second time-4 batch
+    # repeats page 10's newest time
+    BATCHES = [
+        ([1, 1, 2], [10, 11, 12], 2),
+        ([3], [10], 4),
+        ([1, 4, 4, 2], [13, 10, 12, 11], 4),
+        ([5, 5], [11, 14], 7),
+    ]
+    USERS = (1, 2, 3, 4, 5, 6)
+    PAGES = (10, 11, 12, 13, 14)
+
+    @staticmethod
+    def _append(log, users, pages, time):
+        log.record_arrays(
+            np.array(users, dtype=np.int64), np.array(pages, dtype=np.int64), time
+        )
+
+    def test_matches_scalar_records(self):
+        scalar_log, batch_log = LikeLog(), LikeLog()
+        for users, pages, time in self.BATCHES:
+            for user_id, page_id in zip(users, pages):
+                scalar_log.record(LikeEvent(user_id=user_id, page_id=page_id, time=time))
+            self._append(batch_log, users, pages, time)
+            # the reads build the lazy indexes the next batch extends
+            assert _log_state(batch_log, self.USERS, self.PAGES) == _log_state(
+                scalar_log, self.USERS, self.PAGES
+            )
+
+    def test_failed_batch_leaves_log_untouched(self):
+        log = LikeLog()
+        for batch in self.BATCHES:
+            self._append(log, *batch)
+        before = _log_state(log, self.USERS, self.PAGES)
+        with pytest.raises(ValidationError):
+            # page 14 would be fine at time 5; page 11 holds a time-7 event
+            self._append(log, [6, 6], [14, 11], 5)
+        assert _log_state(log, self.USERS, self.PAGES) == before
+        # the refused batch left nothing behind that the next one trips on
+        self._append(log, [6, 6], [14, 11], 7)
+        assert log.for_user(6) == (
+            LikeEvent(user_id=6, page_id=14, time=7),
+            LikeEvent(user_id=6, page_id=11, time=7),
+        )
+        assert len(log) == before[-1] + 2
 
 
 class TestProfileStoreViews:
@@ -440,7 +417,7 @@ class TestBatchedSamplerEquivalence:
 
 
 class TestLikePagesFreshMany:
-    """The cohort write refuses counts that do not split its page column."""
+    """The cohort write lands like a `like_page` loop, or not at all."""
 
     def _network(self):
         network, users, pages = _network_with(3, 4)
@@ -467,41 +444,78 @@ class TestLikePagesFreshMany:
         assert network.page_liker_ids(pages[3]) == [users[2], users[0]]
         assert network.page_liker_ids(pages[0]) == [users[0], users[1]]
 
+    def test_matches_like_page_loop(self):
+        scalar_net, users, pages = _network_with(3, 10)
+        cohort_net, _, _ = _network_with(3, 10)
+        # both networks allocate identical ids; a scalar like on each
+        # materialises a liker set the cohort write must extend
+        for network in (scalar_net, cohort_net):
+            network.like_page(users[2], pages[1], time=1)
+        batches = [pages[0:6], pages[3:9], pages[2:10:2]]
+        for user_id, batch in zip(users, batches):
+            for page_id in batch:
+                assert scalar_net.like_page(user_id, page_id, time=4)
+        added = cohort_net.like_pages_fresh_many(
+            users, np.concatenate(batches), [len(b) for b in batches], time=4
+        )
+        assert added == sum(len(b) for b in batches)
+        assert _like_state(cohort_net, users, pages) == _like_state(
+            scalar_net, users, pages
+        )
+        assert not cohort_net.like_page(users[0], pages[1], time=5)
+
     @pytest.mark.parametrize(
-        "page_rows,counts",
+        "page_rows,counts,time,user",
         [
-            pytest.param([3, 0], [1, 1], id="three-users-two-counts"),
-            pytest.param([3, 0, 1], [1, 1, 2], id="counts-sum-past-pages"),
-            pytest.param([3, 0, 1], [1, 1, 0], id="counts-sum-short-of-pages"),
-            pytest.param([3, 0, 1], [2, -1, 2], id="negative-count"),
+            pytest.param([3, 0], [1, 1], 2, None, id="three-users-two-counts"),
+            pytest.param([3, 0, 1], [1, 1, 2], 2, None, id="counts-sum-past-pages"),
+            pytest.param([3, 0, 1], [1, 1, 0], 2, None, id="counts-sum-short-of-pages"),
+            pytest.param([3, 0, 1], [2, -1, 2], 2, None, id="negative-count"),
+            pytest.param([3, 424242, 1], [1, 1, 1], 2, None, id="unknown-page"),
+            pytest.param([3, 0, 1], [1, 1, 1], -1, None, id="time-below-zero"),
+            pytest.param([3, 0, 1], [1, 1, 1], 2**31, None, id="time-past-int32"),
+            pytest.param([3, 0, 1], [1, 1, 1], 2, "unknown", id="user-unknown"),
+            pytest.param([3, 0, 1], [1, 1, 1], 2, "terminated", id="terminated-user"),
         ],
     )
-    def test_misaligned_write_changes_nothing(self, page_rows, counts):
+    def test_misaligned_write_changes_nothing(self, page_rows, counts, time, user):
+        # without the spoiled part, the write [3, 0, 1] / [1, 1, 1] at
+        # time 2 is valid: every (user, page) pair is fresh
         network, users, pages = self._network()
+        if user == "unknown":
+            users = [users[0], 999_999, users[2]]
+        elif user == "terminated":
+            network.terminate_account(users[1], time=2)
         before = len(network.likes)
         likers = set(network._liker_sets[pages[3]])
+        # a row past the four pages is a page id no page has
+        page_ids = [pages[row] if row < len(pages) else row for row in page_rows]
         with pytest.raises(ValidationError):
             network.like_pages_fresh_many(
-                users,
-                np.array([pages[row] for row in page_rows]),
-                np.array(counts),
-                time=2,
+                users, np.array(page_ids), np.array(counts), time=time
             )
         assert len(network.likes) == before
         assert network._liker_sets[pages[3]] == likers
         assert network.page_liker_ids(pages[3]) == [users[2]]
 
 
+def _add_pairs(network: SocialNetwork, pairs) -> int:
+    return network.add_friendships_arrays(
+        np.array([a for a, _ in pairs], dtype=np.int64),
+        np.array([b for _, b in pairs], dtype=np.int64),
+    )
+
+
 class TestAddFriendshipsBulk:
+    """The batch friendship write, `add_friendships_arrays`."""
+
     def test_matches_scalar_loop(self):
         scalar_net, users, _ = _network_with(6, 1)
         bulk_net, bulk_users, _ = _network_with(6, 1)
         pairs = [(0, 1), (1, 2), (0, 1), (3, 4), (2, 0)]
         for a, b in pairs:
             scalar_net.add_friendship(users[a], users[b])
-        added = bulk_net.add_friendships_bulk(
-            (bulk_users[a], bulk_users[b]) for a, b in pairs
-        )
+        added = _add_pairs(bulk_net, [(bulk_users[a], bulk_users[b]) for a, b in pairs])
         assert added == 4  # one duplicate pair
         assert scalar_net.graph.edge_count == bulk_net.graph.edge_count
         # both networks allocate identical user ids, so edges compare directly
@@ -513,61 +527,32 @@ class TestAddFriendshipsBulk:
     def test_rejects_self_loops_and_unknown_users(self):
         network, users, _ = _network_with(2, 1)
         with pytest.raises(ValidationError):
-            network.add_friendships_bulk([(users[0], users[0])])
+            _add_pairs(network, [(users[0], users[0])])
         with pytest.raises(ValidationError):
-            network.add_friendships_bulk([(users[0], 999999)])
+            _add_pairs(network, [(users[0], 999999)])
 
     def test_failed_batch_adds_no_edges(self):
         network, users, _ = _network_with(3, 1)
         with pytest.raises(ValidationError):
-            network.add_friendships_bulk(
-                [(users[0], users[1]), (users[2], users[2])]
-            )
+            _add_pairs(network, [(users[0], users[1]), (users[2], users[2])])
+        with pytest.raises(ValidationError):
+            _add_pairs(network, [(users[0], users[1]), (users[2], 999999)])
         assert network.graph.edge_count == 0
         assert all(network.graph.neighbors(u) == set() for u in users)
 
 
-def _scalar_like_pages_bulk(self, user_id, page_ids, time):
-    """The pre-batching write path: one `like_page` call per page."""
-    added = 0
-    for page_id in page_ids:
-        if self.like_page(user_id, page_id, time):
-            added += 1
-    return added
-
-
-def _scalar_add_friendships_bulk(self, pairs):
-    before = self.graph.edge_count
-    for a, b in pairs:
-        self.add_friendship(a, b)
-    return self.graph.edge_count - before
-
-
-def _scalar_like_pages_fresh(self, user_id, page_ids, time):
-    """The pre-columnar fresh path: one `like_page` call per page."""
-    added = 0
-    for page_id in np.asarray(page_ids, dtype=np.int64).tolist():
-        if self.like_page(user_id, page_id, time):
-            added += 1
-    return added
-
-
 def _scalar_like_pages_fresh_many(self, user_ids, pages, counts, time):
-    """The pre-cohort-batching path: one `like_pages_fresh` per user.
-
-    Splits the page column at the counts' running sums and dispatches
-    through ``self`` so the (also monkeypatched) per-user scalar
-    fallback runs underneath — the study then writes every like through
-    `like_page`, the fully scalar path.
-    """
-    assert len(counts) == len(user_ids)
-    total = 0
-    for user_id, user_pages in zip(user_ids, np.split(pages, np.cumsum(counts)[:-1])):
-        total += self.like_pages_fresh(user_id, user_pages, time)
-    return total
+    """The pre-batching path: one `like_page` call per (user, page)."""
+    users = np.repeat(np.asarray(user_ids, dtype=np.int64), counts)
+    added = 0
+    for user_id, page_id in zip(users.tolist(), np.asarray(pages).tolist()):
+        if self.like_page(user_id, page_id, time):
+            added += 1
+    return added
 
 
 def _scalar_add_friendships_arrays(self, a, b):
+    """The pre-batching path: one `add_friendship` call per pair."""
     before = self.graph.edge_count
     for x, y in zip(np.asarray(a).tolist(), np.asarray(b).tolist()):
         self.add_friendship(x, y)
@@ -593,21 +578,14 @@ def _study_fingerprint(config: StudyConfig) -> dict:
 
 
 class TestSeededStudyEquivalence:
-    """A seeded small study is identical via the scalar and bulk write paths."""
+    """A seeded small study is identical via the scalar and batch write paths."""
 
     def test_dataset_identical(self, monkeypatch):
         config = StudyConfig.small(seed=991)
         bulk = _study_fingerprint(config)
-        # Swap out every batch/columnar write entry point the generators
-        # use — cohort-wide like appends, per-user fresh likes, and array
-        # edge wiring all collapse to per-item scalar calls.
-        monkeypatch.setattr(SocialNetwork, "like_pages_bulk", _scalar_like_pages_bulk)
-        monkeypatch.setattr(
-            SocialNetwork, "add_friendships_bulk", _scalar_add_friendships_bulk
-        )
-        monkeypatch.setattr(
-            SocialNetwork, "like_pages_fresh", _scalar_like_pages_fresh
-        )
+        # Swap out both batch write entry points the generators use —
+        # cohort-wide like appends and array edge wiring collapse to
+        # per-item `like_page` and `add_friendship` calls.
         monkeypatch.setattr(
             SocialNetwork, "like_pages_fresh_many", _scalar_like_pages_fresh_many
         )

@@ -101,7 +101,6 @@ WRITES_AT_5 = {
     "record": lambda log, page: log.record(
         LikeEvent(user_id=1_000_100, page_id=page, time=5)
     ),
-    "record_many": lambda log, page: log.record_many(1_000_100, [OTHER_PAGE, page], 5),
     "record_arrays": lambda log, page: log.record_arrays(
         np.array([1_000_100, 1_000_101]), np.array([OTHER_PAGE, page]), 5
     ),
@@ -161,9 +160,8 @@ class TestNarrowingNeverWraps:
                 np.array([1_000_002, TOO_WIDE]), np.array([9_000_000, 9_000_001]), 6
             ),
             lambda log: log.record(LikeEvent(user_id=TOO_WIDE, page_id=9_000_000, time=6)),
-            lambda log: log.record_many(TOO_WIDE, [9_000_000, 9_000_001], 6),
         ],
-        ids=["record_arrays", "record", "record_many"],
+        ids=["record_arrays", "record"],
     )
     def test_user_id(self, write):
         log = seeded_log()
@@ -179,9 +177,8 @@ class TestNarrowingNeverWraps:
                 np.array([1_000_002]), np.array([9_000_000]), TOO_WIDE
             ),
             lambda log: log.record(LikeEvent(user_id=1_000_002, page_id=9_000_000, time=TOO_WIDE)),
-            lambda log: log.record_many(1_000_002, [9_000_000], TOO_WIDE),
         ],
-        ids=["record_arrays", "record", "record_many"],
+        ids=["record_arrays", "record"],
     )
     def test_time(self, write):
         log = seeded_log()

@@ -1,10 +1,11 @@
 """Supervisor state-machine tests: ok, crash-restart, hang, quarantine.
 
 These run real worker processes (spawn context) over a deliberately tiny
-study so each scenario completes in seconds.  Fault injection uses the
-harness env knobs scoped by ``REPRO_SHARD_TARGET`` (see
-:mod:`repro.shard.worker`): a SIGKILL or stall recurs only on the
-targeted shard's first attempt, so the supervisor's restart heals it.
+study so each scenario completes in seconds.  Faults are injected through
+``REPRO_FAILPOINTS`` specs scoped by ``REPRO_SHARD_TARGET`` (see
+:mod:`repro.shard.worker`): a SIGKILL or hang fires only on the targeted
+shard's first attempt, so the supervisor's restart heals it.  Poison
+(``REPRO_SHARD_POISON``) recurs on every attempt.
 """
 
 import json
@@ -12,7 +13,6 @@ import json
 import pytest
 
 from repro import failpoints
-from repro.ckpt.journal import CRASH_AFTER_ENV
 from repro.ckpt.manager import CheckpointConfig
 from repro.honeypot.study import StudyConfig
 from repro.obs import ObservabilityConfig
@@ -20,7 +20,7 @@ from repro.osn.population import PopulationConfig
 from repro.osn.resilient import CircuitBreaker, ResilientAPI
 from repro.shard import ShardError, ShardSupervisor
 from repro.shard.plan import plan_shards
-from repro.shard.worker import HANG_ENV, POISON_ENV, TARGET_ENV
+from repro.shard.worker import POISON_ENV, TARGET_ENV
 
 SEED = 11
 
@@ -51,9 +51,7 @@ def run_supervised(config, jobs=2, **kwargs):
 @pytest.fixture
 def scoped_env(monkeypatch):
     """Guarantee no injection env leaks between tests."""
-    for name in (
-        failpoints.ENV_VAR, TARGET_ENV, CRASH_AFTER_ENV, HANG_ENV, POISON_ENV
-    ):
+    for name in (failpoints.ENV_VAR, TARGET_ENV, POISON_ENV):
         monkeypatch.delenv(name, raising=False)
     return monkeypatch
 
@@ -96,7 +94,7 @@ class TestCrashRestart:
         config = tiny_config()
         target = plan_shards(config)[1].shard_id
         scoped_env.setenv(TARGET_ENV, target)
-        scoped_env.setenv(CRASH_AFTER_ENV, "25")
+        scoped_env.setenv(failpoints.ENV_VAR, "ckpt.journal.record=kill@25")
         result = run_supervised(config)
         assert result.outcomes[target].status == "ok"
         assert result.outcomes[target].attempts == 2, (
@@ -112,7 +110,7 @@ class TestCrashRestart:
         config = tiny_config()
         target = plan_shards(config)[1].shard_id
         scoped_env.setenv(TARGET_ENV, target)
-        scoped_env.setenv(HANG_ENV, "1")
+        scoped_env.setenv(failpoints.ENV_VAR, "shard.worker.hang=hang")
         result = run_supervised(config, heartbeat_timeout=1.5)
         assert result.outcomes[target].status == "ok"
         assert result.outcomes[target].attempts == 2

@@ -1,4 +1,4 @@
-"""WAL replay and shard-merge ingest paths land exactly in the store."""
+"""WAL replay and the sharded run's merged dataset land exactly in the store."""
 
 import dataclasses
 import random
@@ -6,10 +6,11 @@ import random
 import pytest
 
 from repro.ckpt.manager import CheckpointConfig
+from repro.cli import main
 from repro.honeypot.study import HoneypotStudy, StudyConfig
-from repro.shard.errors import ShardMergeError
+from repro.shard import ShardSupervisor
 from repro.shard.merge import merge_shards
-from repro.store import HoneypotStore, StoreError, merge_shards_into_store
+from repro.store import HoneypotStore, StoreError
 from repro.store.ingest import ingest_journal
 from tests.shard.test_merge import build_completed, make_plan, state_for
 
@@ -77,65 +78,69 @@ class TestJournalIngest:
 
 
 class TestShardMergeIngest:
+    """``run --jobs N --store``: merge the shards in memory, then ingest."""
+
     @pytest.fixture()
-    def merged_pair(self, tmp_path):
-        """(plan, completed-with-paths, reference merge) from fabricated shards."""
+    def shards(self):
+        """(plan, completed) from fabricated shards."""
         rng = random.Random(20140312)
         plan = make_plan(4)
         pool = list(range(1_000_000, 1_000_300))
-        completed = build_completed(plan, pool, rng)
-        paths = {}
-        for shard_id, (dataset, state) in completed.items():
-            path = tmp_path / f"{shard_id}.jsonl"
-            dataset.to_jsonl(path)
-            paths[shard_id] = (path, state)
-        return plan, completed, paths
+        return plan, build_completed(plan, pool, rng)
 
-    def test_store_merge_exports_the_in_memory_merge_bytes(
-        self, tmp_path, merged_pair
-    ):
-        plan, completed, paths = merged_pair
+    def assert_store_exports_the_merge(self, tmp_path, plan, completed):
+        merged = merge_shards(plan, completed).dataset
         reference = tmp_path / "reference.jsonl"
-        merge_shards(plan, completed).dataset.to_jsonl(reference)
+        merged.to_jsonl(reference)
         with HoneypotStore.create(tmp_path / "merged.sqlite") as store:
-            written = merge_shards_into_store(plan, paths, store)
-            assert written > 0
+            assert store.ingest_dataset(merged) > 0
             exported = tmp_path / "merged.jsonl"
             store.to_jsonl(exported)
         assert exported.read_bytes() == reference.read_bytes()
 
-    def test_missing_shards_merge_like_the_reference(
-        self, tmp_path, merged_pair
-    ):
-        plan, completed, paths = merged_pair
+    def test_store_merge_exports_the_in_memory_merge_bytes(self, tmp_path, shards):
+        self.assert_store_exports_the_merge(tmp_path, *shards)
+
+    def test_missing_shards_merge_like_the_reference(self, tmp_path, shards):
+        plan, completed = shards
         lost = plan[-1].shard_id
         completed = {k: v for k, v in completed.items() if k != lost}
-        paths = {k: v for k, v in paths.items() if k != lost}
-        reference = tmp_path / "reference.jsonl"
-        merge_shards(plan, completed).dataset.to_jsonl(reference)
-        with HoneypotStore.create(tmp_path / "partial.sqlite") as store:
-            merge_shards_into_store(plan, paths, store)
-            exported = tmp_path / "partial.jsonl"
-            store.to_jsonl(exported)
-        assert exported.read_bytes() == reference.read_bytes()
+        self.assert_store_exports_the_merge(tmp_path, plan, completed)
 
-    def test_no_completed_shard_refuses(self, tmp_path):
-        with HoneypotStore.create(tmp_path / "none.sqlite") as store:
-            with pytest.raises(ShardMergeError, match="no shard completed"):
-                merge_shards_into_store(make_plan(2), {}, store)
+    def assert_refused_run_keeps_the_store(
+        self, tmp_path, monkeypatch, capsys, shards, refused, reason
+    ):
+        """``run --jobs 2 --store`` whose merge of ``refused`` refuses exits 5
+        and leaves the previous run's ``--store`` file as it was."""
+        db = tmp_path / "previous.sqlite"
+        with HoneypotStore.create(db) as store:
+            store.ingest_dataset(merge_shards(*shards).dataset)
+        before = db.read_bytes()
+        # the supervisor's run ends in this merge; no shard process starts
+        monkeypatch.setattr(
+            ShardSupervisor, "run", lambda supervisor: merge_shards(*refused)
+        )
+        out = tmp_path / "refused.jsonl"
+        assert main(
+            ["run", "--jobs", "2", "--out", str(out), "--store", str(db)]
+        ) == 5
+        assert reason in capsys.readouterr().err
+        assert db.read_bytes() == before
+        assert not out.exists()
 
-    def test_floor_disagreement_refuses(self, tmp_path, merged_pair):
-        plan, _, paths = merged_pair
-        shard_id = plan[1].shard_id
-        path, _ = paths[shard_id]
-        paths[shard_id] = (path, state_for(plan[1], None, floor=999))
-        with HoneypotStore.create(tmp_path / "floors.sqlite") as store:
-            with pytest.raises(ShardMergeError, match="dynamic-id floor"):
-                merge_shards_into_store(plan, paths, store)
+    def test_no_completed_shard_refuses(self, tmp_path, monkeypatch, capsys, shards):
+        plan, _ = shards
+        self.assert_refused_run_keeps_the_store(
+            tmp_path, monkeypatch, capsys, shards, (plan, {}), "no shard completed"
+        )
 
-    def test_occupied_store_refuses(self, tmp_path, merged_pair, small_dataset):
-        plan, _, paths = merged_pair
-        with HoneypotStore.create(tmp_path / "occupied.sqlite") as store:
-            store.ingest_dataset(small_dataset)
-            with pytest.raises(StoreError, match="not empty"):
-                merge_shards_into_store(plan, paths, store)
+    def test_floor_disagreement_refuses(self, tmp_path, monkeypatch, capsys, shards):
+        plan, completed = shards
+        dataset, _ = completed[plan[1].shard_id]
+        diverged = {
+            **completed,
+            plan[1].shard_id: (dataset, state_for(plan[1], None, floor=999)),
+        }
+        self.assert_refused_run_keeps_the_store(
+            tmp_path, monkeypatch, capsys, shards, (plan, diverged), "dynamic-id floor"
+        )

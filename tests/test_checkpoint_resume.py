@@ -7,16 +7,18 @@ deterministic sections of the metrics manifest — must equal those of an
 uninterrupted same-seed run.  Both the plain and ``--chaos`` crawl paths
 are exercised, plus a double-kill chain (crash the resume, resume again).
 
-Kill points are injected via ``REPRO_CKPT_CRASH_AFTER=<n>``: the child
-SIGKILLs *itself* right after its n-th durably journaled record (see
-``repro.ckpt.journal``).  That is a real, uncatchable SIGKILL — no flush,
-no atexit — but it lands at a reproducible record boundary instead of a
-racy wall-clock timer, so the harness is deterministic across machines.
+Kill points are injected via
+``REPRO_FAILPOINTS=ckpt.journal.record=kill@<n>``: the child SIGKILLs
+*itself* right after its n-th journaled record (see
+``repro.ckpt.journal``).  That is a real, uncatchable SIGKILL — no
+flush, no atexit — but it lands at a reproducible record boundary
+instead of a racy wall-clock timer, so the harness is deterministic
+across machines.
 
 Sharded runs (``--jobs N``) extend the same contract: the supervisor
 SIGKILLs or loses individual *workers* and the run as a whole must still
 come out byte-identical — the crashed shard resumes from its own WAL.
-``REPRO_SHARD_TARGET`` scopes the injection envs to a single shard so
+``REPRO_SHARD_TARGET`` scopes the injected specs to a single shard so
 the rest of the fleet runs clean.
 """
 
@@ -45,18 +47,10 @@ def cli_env(crash_after=None, extra_env=None):
     """Subprocess environment with the injection knobs explicitly scrubbed."""
     env = dict(os.environ)
     env["PYTHONPATH"] = str(REPO / "src")
-    for name in (
-        "REPRO_FAILPOINTS",
-        "REPRO_CKPT_CRASH_AFTER",
-        "REPRO_CKPT_STALL_AFTER",
-        "REPRO_CKPT_STALL_SECONDS",
-        "REPRO_SHARD_TARGET",
-        "REPRO_SHARD_HANG",
-        "REPRO_SHARD_POISON",
-    ):
+    for name in ("REPRO_FAILPOINTS", "REPRO_SHARD_TARGET", "REPRO_SHARD_POISON"):
         env.pop(name, None)
     if crash_after is not None:
-        env["REPRO_CKPT_CRASH_AFTER"] = str(crash_after)
+        env["REPRO_FAILPOINTS"] = f"ckpt.journal.record=kill@{crash_after}"
     if extra_env:
         env.update({k: str(v) for k, v in extra_env.items()})
     return env
@@ -213,7 +207,7 @@ class TestShardedDeterminism:
         completed, out, manifest = run_cli(
             tmp_path, "shard-killed", shard_args(jobs=2),
             extra_env={"REPRO_SHARD_TARGET": target,
-                       "REPRO_CKPT_CRASH_AFTER": "25"},
+                       "REPRO_FAILPOINTS": "ckpt.journal.record=kill@25"},
         )
         assert completed.returncode == 0, completed.stderr
         assert out.read_bytes() == ref_out.read_bytes(), (
@@ -276,8 +270,9 @@ class TestShardedInterrupt:
                "--metrics", str(tmp_path / "int-manifest.json")]
             + shard_args(jobs=2, campaigns=2)
             + ["--checkpoint-dir", str(root)],
-            env=cli_env(extra_env={"REPRO_CKPT_STALL_AFTER": "20",
-                                   "REPRO_CKPT_STALL_SECONDS": "120"}),
+            env=cli_env(extra_env={
+                "REPRO_FAILPOINTS": "ckpt.journal.record=stall:120@20",
+            }),
             cwd=tmp_path, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
             text=True,
         )

@@ -30,7 +30,7 @@ from pathlib import Path
 import pytest
 
 from repro import failpoints
-from repro.store import HoneypotStore, StoreError, merge_shards_into_store
+from repro.store import HoneypotStore
 from tests.shard.test_merge import build_completed, make_plan
 
 pytestmark = pytest.mark.filterwarnings("ignore::ResourceWarning")
@@ -49,11 +49,7 @@ SHARD = SMALL + ["--jobs", "2", "--campaigns", "3"]
 #: own spec is armed (resume legs run with nothing armed at all).
 INJECTION_ENVS = (
     failpoints.ENV_VAR,
-    failpoints.CRASH_AFTER_ENV,
-    failpoints.STALL_AFTER_ENV,
-    failpoints.STALL_SECONDS_ENV,
     "REPRO_SHARD_TARGET",
-    "REPRO_SHARD_HANG",
     "REPRO_SHARD_POISON",
 )
 
@@ -281,25 +277,6 @@ def scenario_store_export_rows(tmp, refs):
     assert (tmp / "export.jsonl").read_bytes() == reference.read_bytes()
 
 
-def scenario_store_merge_shard(tmp, refs):
-    # In-process: a disk fault mid shard-merge is a named StoreError and
-    # rolls the torn shard back.
-    failpoints.reset()
-    rng = random.Random(20140312)
-    plan = make_plan(3)
-    completed = build_completed(plan, list(range(1_000_000, 1_000_300)), rng)
-    paths = {}
-    for shard_id, (dataset, state) in completed.items():
-        path = tmp / f"{shard_id}.jsonl"
-        dataset.to_jsonl(path)
-        paths[shard_id] = (path, state)
-    with HoneypotStore.create(tmp / "m.sqlite") as store:
-        failpoints.configure("store.merge.shard=errno:EIO@2")
-        with pytest.raises(StoreError, match="merging shard"):
-            merge_shards_into_store(plan, paths, store)
-        failpoints.reset()
-
-
 def scenario_shard_worker_hang(tmp, refs):
     spec = "shard.worker.hang=hang@1"
     run = cli(tmp, ["run", *SHARD, "--out", "out.jsonl", "--failpoint", spec])
@@ -380,7 +357,6 @@ SCENARIOS = {
     "store.open": scenario_store_open,
     "store.ingest.batch": scenario_store_ingest_batch,
     "store.export.rows": scenario_store_export_rows,
-    "store.merge.shard": scenario_store_merge_shard,
     "shard.worker.hang": scenario_shard_worker_hang,
     "shard.worker.poison": scenario_shard_worker_poison,
     "shard.worker.heartbeat": scenario_shard_worker_heartbeat,

@@ -9,7 +9,7 @@ from repro.util.distributions import (
     LogNormalCount,
     interpolate_counts,
     split_into_groups,
-    weighted_sample_without_replacement,
+    weighted_sample_positive,
     zipf_weights,
 )
 from repro.util.rng import RngStream
@@ -104,63 +104,44 @@ class TestZipfWeights:
 
 
 class TestWeightedSampleWithoutReplacement:
+    """`weighted_sample_positive`, the page universe's weighted draw."""
+
     def test_distinct_results(self, rng):
-        items = list(range(100))
+        items = np.arange(100)
         weights = zipf_weights(100)
-        out = weighted_sample_without_replacement(rng, items, weights, 30)
-        assert len(out) == len(set(out)) == 30
+        out = weighted_sample_positive(rng, items, weights, 30)
+        assert len(out) == len(set(out.tolist())) == 30
 
     def test_zero_k(self, rng):
-        assert weighted_sample_without_replacement(rng, [1, 2], np.array([1, 1]), 0) == []
+        out = weighted_sample_positive(rng, np.array([1, 2]), np.array([1.0, 1.0]), 0)
+        assert out.tolist() == [] and out.dtype == np.int64
 
     def test_heavy_weight_preferred(self, rng):
-        items = ["heavy", "light"]
+        items = np.array(["heavy", "light"])
         weights = np.array([100.0, 0.001])
         hits = sum(
-            weighted_sample_without_replacement(rng, items, weights, 1)[0] == "heavy"
+            weighted_sample_positive(rng, items, weights, 1)[0] == "heavy"
             for _ in range(200)
         )
         assert hits > 190
 
-    def test_zero_weight_excluded(self, rng):
-        items = ["a", "b", "c"]
-        weights = np.array([1.0, 0.0, 1.0])
-        for _ in range(50):
-            out = weighted_sample_without_replacement(rng, items, weights, 2)
-            assert "b" not in out
-
-    def test_not_enough_positive_weights(self, rng):
-        with pytest.raises(ValidationError):
-            weighted_sample_without_replacement(rng, ["a", "b"], np.array([1.0, 0.0]), 2)
-
-    def test_mismatched_lengths(self, rng):
-        with pytest.raises(ValidationError):
-            weighted_sample_without_replacement(rng, ["a"], np.array([1.0, 2.0]), 1)
-
     def test_whole_population_short_circuit(self, rng):
-        items = list(range(40))
+        items = np.arange(40)
         weights = zipf_weights(40)
-        out = weighted_sample_without_replacement(rng, items, weights, 40)
-        assert out == items  # population order, no key sort
+        out = weighted_sample_positive(rng, items, weights, 40)
+        assert out.tolist() == items.tolist()  # population order, no key sort
+        assert not np.shares_memory(out, items)
 
     def test_whole_population_preserves_stream_alignment(self):
         # The short-circuit must consume exactly as many uniforms as the
         # weighted path would, so draws after it are unaffected.
-        from repro.util.rng import RngStream
-
-        items = list(range(25))
+        items = np.arange(25)
         weights = zipf_weights(25)
         sampled = RngStream(123, "sampled")
-        weighted_sample_without_replacement(sampled, items, weights, 25)
+        weighted_sample_positive(sampled, items, weights, 25)
         burned = RngStream(123, "burned")
         burned.generator.random(25)
         assert sampled.random() == burned.random()
-
-    def test_whole_population_needs_all_positive(self, rng):
-        with pytest.raises(ValidationError):
-            weighted_sample_without_replacement(
-                rng, ["a", "b"], np.array([1.0, 0.0]), 2
-            )
 
 
 class TestInterpolateCounts:

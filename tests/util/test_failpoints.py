@@ -111,13 +111,13 @@ class TestHit:
 
 
 class TestEnvInstall:
-    def test_env_var_and_legacy_aliases_translate(self):
+    def test_env_var_specs_are_armed(self):
         armed = failpoints.install_from_env(
             {
-                failpoints.ENV_VAR: "store.open=count",
-                failpoints.CRASH_AFTER_ENV: "12",
-                failpoints.STALL_AFTER_ENV: "3",
-                failpoints.STALL_SECONDS_ENV: "0.5",
+                failpoints.ENV_VAR: (
+                    "store.open=count,ckpt.journal.record=kill@12,"
+                    "ckpt.journal.record=stall:0.5@3"
+                ),
             }
         )
         rendered = sorted(s.render() for s in armed)
@@ -126,6 +126,24 @@ class TestEnvInstall:
             "ckpt.journal.record=stall:0.5@3",
             "store.open=count@1",
         ]
+        assert failpoints.state()["armed"] == {
+            "ckpt.journal.record": [
+                "ckpt.journal.record=kill@12",
+                "ckpt.journal.record=stall:0.5@3",
+            ],
+            "store.open": ["store.open=count@1"],
+        }
+
+    def test_removed_legacy_env_names_arm_nothing(self):
+        # REPRO_FAILPOINTS is the only spelling; the journal crash and
+        # stall envs it replaced are ignored
+        removed = {
+            "REPRO_CKPT_CRASH_AFTER": "12",
+            "REPRO_CKPT_STALL_AFTER": "3",
+            "REPRO_CKPT_STALL_SECONDS": "0.5",
+        }
+        assert failpoints.install_from_env(removed) == []
+        assert not failpoints.is_armed()
 
     def test_empty_environment_arms_nothing(self):
         assert failpoints.install_from_env({}) == []
