@@ -25,8 +25,8 @@ import numpy as np
 
 from repro.osn.ids import UserId
 from repro.osn.network import SocialNetwork
-from repro.osn.population import sample_age, sample_ages
-from repro.osn.profile import COHORT_CLICKWORKER, Gender
+from repro.osn.population import create_hubs, sample_ages
+from repro.osn.profile import COHORT_CLICKWORKER
 from repro.osn.universe import CLICKWORKER_MIX, LikeMix, PageUniverse
 from repro.util.distributions import Categorical, LogNormalCount
 from repro.util.rng import RngStream
@@ -211,31 +211,31 @@ class ClickWorkerPopulation:
     def _wire_hubs(self, country: str, workers: List[UserId]) -> None:
         cfg = self.config
         rng = self._rng.child(f"hubs/{country}/{len(workers)}")
-        ring_members = [w for w in workers if rng.bernoulli(cfg.hub_coverage)]
+        hit = rng.bernoulli_many(cfg.hub_coverage, len(workers)).tolist()
+        ring_members = [w for w, member in zip(workers, hit) if member]
         rings = [
             ring_members[i : i + cfg.hub_ring_size]
             for i in range(0, len(ring_members), cfg.hub_ring_size)
         ]
-        male_share = CLICKWORKER_MALE_SHARE.get(country, DEFAULT_MALE_SHARE)
-        for ring in rings:
-            if len(ring) < 2:
-                continue
-            hub = self._network.create_user(
-                gender=Gender.MALE if rng.bernoulli(male_share) else Gender.FEMALE,
-                age=sample_age(rng, cfg.age),
-                country=country,
-                friend_list_public=False,
-                searchable=False,
-                cohort=COHORT_CLICKWORKER,
-            )
-            for worker in ring:
-                self._network.add_friendship(hub.user_id, worker)
+        rings = [ring for ring in rings if len(ring) >= 2]
+        hubs = create_hubs(
+            self._network, rng, len(rings),
+            CLICKWORKER_MALE_SHARE.get(country, DEFAULT_MALE_SHARE), cfg.age,
+            country=country, cohort=COHORT_CLICKWORKER,
+        )
+        self._network.add_friendships_arrays(
+            [hub for hub, ring in zip(hubs, rings) for _ in ring],
+            [worker for ring in rings for worker in ring],
+        )
 
     def _wire_direct_edges(self, workers: List[UserId], rng: RngStream) -> None:
         if len(workers) < 2:
             return
         expected_edges = self.config.direct_edge_rate * len(workers)
-        edge_count = rng.poisson(expected_edges)
-        for _ in range(edge_count):
-            a, b = rng.sample_without_replacement(workers, 2)
-            self._network.add_friendship(a, b)
+        pairs = [
+            rng.sample_without_replacement(workers, 2)
+            for _ in range(rng.poisson(expected_edges))
+        ]
+        self._network.add_friendships_arrays(
+            [a for a, _ in pairs], [b for _, b in pairs]
+        )

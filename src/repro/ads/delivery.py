@@ -27,7 +27,7 @@ from repro.ads.costmodel import CostModel
 from repro.obs.metrics import NULL_METRICS, MetricsRegistry
 from repro.osn.ids import UserId
 from repro.osn.network import SocialNetwork
-from repro.osn.profile import AGE_BRACKETS, _BRACKET_BOUNDS
+from repro.osn.profile import AGE_BRACKETS
 from repro.sim.engine import EventEngine
 from repro.util.distributions import Categorical
 from repro.util.rng import RngStream
@@ -203,18 +203,20 @@ class AdDeliveryEngine:
             # No organic inventory in this country: the click still happened
             # (billed) but came from an out-of-world user who cannot like.
             return None
-        users, weights = candidates
-        index = rng.generator.choice(len(users), p=weights)
-        return users[int(index)]
+        users, cdf = candidates
+        # Generator.choice(len(users), p=weights) inverts this same cdf
+        # with one uniform; the cached cdf skips its per-call cumsum.
+        return users[int(cdf.searchsorted(rng.generator.random(), side="right"))]
 
     def _index_organics(self) -> Dict[str, tuple]:
-        """Per-country organic users and their click-propensity weights.
+        """Per-country organic users and the CDF of their click propensity.
 
         Columnar: organic rows come from one cohort-code comparison, each
-        user's age bracket from one ``searchsorted`` against the bracket
-        lower bounds, and the bracket probability from a six-entry lookup
-        table — no per-user view objects.  User lists keep creation (row)
-        order, exactly as the old per-profile iteration produced them.
+        user's age bracket from the store's bracket column, and the
+        bracket probability from a six-entry lookup table — no per-user
+        view objects.  User lists keep creation (row) order, exactly as
+        the old per-profile iteration produced them.  The CDF is built
+        as ``Generator.choice`` builds it from the normalised weights.
         """
         profiles = self._network.profiles
         indexed: Dict[str, tuple] = {}
@@ -229,9 +231,7 @@ class AdDeliveryEngine:
             [age_weights.probability(bracket) for bracket in AGE_BRACKETS],
             dtype=float,
         )
-        lower_bounds = np.array([low for low, _ in _BRACKET_BOUNDS], dtype=np.int64)
-        brackets = np.searchsorted(lower_bounds, profiles.ages()[rows], side="right") - 1
-        raw_all = bracket_probs[brackets]
+        raw_all = bracket_probs[profiles.age_bracket_indices()[rows]]
         country_codes = profiles.country_codes()[rows]
         user_ids = profiles.user_ids()[rows]
         for code in np.unique(country_codes):
@@ -240,8 +240,9 @@ class AdDeliveryEngine:
             total = raw.sum()
             if total <= 0:
                 continue
-            country = profiles.strings.value(int(code))
-            indexed[country] = (user_ids[mask].tolist(), raw / total)
+            cdf = (raw / total).cumsum()
+            cdf /= cdf[-1]
+            indexed[profiles.strings.value(int(code))] = (user_ids[mask].tolist(), cdf)
         return indexed
 
     def _sample_minute_of_day(self, rng: RngStream) -> int:

@@ -15,6 +15,8 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Dict
 
+import numpy as np
+
 from repro.osn.ids import PageId
 from repro.osn.network import SocialNetwork
 from repro.osn.profile import AGE_BRACKETS, Gender
@@ -58,15 +60,8 @@ class ReportsTool:
         likes as they stood, and the paper's demographics were collected
         while campaigns ran.
         """
-        liker_ids = self._network.page_liker_ids(page_id)
-        profiles = [self._network.user(u) for u in liker_ids]
-        return PageInsightsReport(
-            page_id=page_id,
-            total_likes=len(profiles),
-            gender=_fractions(Counter(p.gender.value for p in profiles)),
-            age=_bracket_fractions(Counter(p.age_bracket for p in profiles)),
-            country=_fractions(Counter(p.country for p in profiles)),
-        )
+        liker_ids = np.asarray(self._network.page_liker_ids(page_id), dtype=np.int64)
+        return self._report(page_id, liker_ids - self._network.profiles.id_base)
 
     def global_report(self) -> PageInsightsReport:
         """The same aggregates over the searchable (directory) population.
@@ -77,18 +72,29 @@ class ReportsTool:
         fraud pools are a negligible share of Facebook but not of our
         deliberately fraud-heavy simulated world.
         """
-        profiles = [
-            p
-            for p in self._network.all_users()
-            if not p.is_terminated and p.searchable
-        ]
+        profiles = self._network.profiles
+        rows = np.flatnonzero(profiles.searchable_mask() & profiles.alive_mask())
+        return self._report(PageId(-1), rows)
+
+    def _report(self, page_id: PageId, rows: np.ndarray) -> PageInsightsReport:
+        """Aggregate the profile ``rows`` (a repeated row counts again)."""
+        profiles = self._network.profiles
+        genders = (Gender.FEMALE.value, Gender.MALE.value)
         return PageInsightsReport(
-            page_id=PageId(-1),
-            total_likes=len(profiles),
-            gender=_fractions(Counter(p.gender.value for p in profiles)),
-            age=_bracket_fractions(Counter(p.age_bracket for p in profiles)),
-            country=_fractions(Counter(p.country for p in profiles)),
+            page_id=page_id,
+            total_likes=int(rows.shape[0]),
+            gender=_fractions(_counts(profiles.gender_codes()[rows], genders.__getitem__)),
+            age=_bracket_fractions(
+                _counts(profiles.age_bracket_indices()[rows], AGE_BRACKETS.__getitem__)
+            ),
+            country=_fractions(_counts(profiles.country_codes()[rows], profiles.strings.value)),
         )
+
+
+def _counts(codes: np.ndarray, label) -> Counter:
+    """How often each code occurs, keyed by ``label(code)``."""
+    values, counts = np.unique(codes, return_counts=True)
+    return Counter({label(value): count for value, count in zip(values.tolist(), counts.tolist())})
 
 
 def _fractions(counts: Counter) -> Dict[str, float]:

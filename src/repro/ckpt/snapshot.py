@@ -62,7 +62,9 @@ def write_snapshot(directory: Path, payload: Dict) -> Dict:
     payload = dict(payload)
     payload["schema"] = SNAPSHOT_SCHEMA
     name = snapshot_filename(payload["phase"], payload["sim_time"])
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    # Compact separators keep CPython on its C encoder (``indent`` forces
+    # the pure-Python one); resume compares parsed dicts, not layout.
+    text = json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
     try:
         failpoints.hit("ckpt.snapshot.write")
         atomic_write_text(Path(directory) / name, text, tag="snapshot")

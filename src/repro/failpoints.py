@@ -11,13 +11,11 @@ on exactly the Nth occurrence, so the storage-fault sweep
 (``tests/test_fault_sweep.py``) can kill, corrupt, or fail any durable
 write at a reproducible point instead of a racy wall-clock timer.
 
-Activation (all merge):
+Activation (both merge):
 
 * env: ``REPRO_FAILPOINTS="name=action@N,name=action@N"`` — inherited by
   spawned shard workers, installed by :func:`install_from_env`;
-* CLI: ``repro-study run --failpoint name=action@N`` (repeatable);
-* config: ``StudyConfig.failpoints`` (a spec string; excluded from the
-  config fingerprint — injection never changes run identity).
+* CLI: ``repro-study run --failpoint name=action@N`` (repeatable).
 
 Actions: ``errno:<NAME>`` raises :class:`OSError` with that errno;
 ``kill`` SIGKILLs the process (uncatchable; unlike a power loss, it

@@ -18,12 +18,12 @@ the campaign analysis except as the mutual friends they are.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence
+from typing import Dict, List, Sequence, Tuple
 
 from repro.osn.ids import UserId
 from repro.osn.network import SocialNetwork
-from repro.osn.population import sample_age
-from repro.osn.profile import COHORT_FARM_PREFIX, Gender
+from repro.osn.population import create_hubs
+from repro.osn.profile import COHORT_FARM_PREFIX
 from repro.util.distributions import Categorical, split_into_groups
 from repro.util.rng import RngStream
 from repro.util.validation import check_fraction, check_positive, require
@@ -47,14 +47,16 @@ class PairTripletTopology:
 
     def wire(self, network: SocialNetwork, accounts: Sequence[UserId], rng: RngStream) -> int:
         """Add edges; returns the number of edges created."""
-        chosen = [a for a in accounts if rng.bernoulli(self.grouped_fraction)]
-        edges = 0
-        for group in split_into_groups(rng, chosen, sizes=(2, 3)):
-            for i in range(len(group)):
-                for j in range(i + 1, len(group)):
-                    network.add_friendship(group[i], group[j])
-                    edges += 1
-        return edges
+        grouped = rng.bernoulli_many(self.grouped_fraction, len(accounts)).tolist()
+        chosen = [a for a, hit in zip(accounts, grouped) if hit]
+        pairs = [
+            (group[i], group[j])
+            for group in split_into_groups(rng, chosen, sizes=(2, 3))
+            for i in range(len(group))
+            for j in range(i + 1, len(group))
+        ]
+        network.add_friendships_arrays([a for a, _ in pairs], [b for _, b in pairs])
+        return len(pairs)
 
 
 @dataclass(slots=True)
@@ -76,13 +78,17 @@ class DenseCommunityTopology:
         check_fraction(self.rewire_probability, "rewire_probability")
 
     def wire(self, network: SocialNetwork, accounts: Sequence[UserId], rng: RngStream) -> int:
+        """Add edges; returns the number of distinct edges wired.
+
+        ``accounts`` are a freshly created pool segment, so a local edge
+        set, not a graph read, tells a rewired edge that repeats one.
+        """
         n = len(accounts)
         if n < 3:
-            for i in range(n - 1):
-                network.add_friendship(accounts[i], accounts[i + 1])
+            network.add_friendships_arrays(accounts[:-1], accounts[1:])
             return max(0, n - 1)
         order = rng.shuffled(list(accounts))
-        edges = 0
+        wired: Dict[Tuple[UserId, UserId], None] = {}
         half_k = min(self.ring_k // 2, (n - 1) // 2)
         for i in range(n):
             for offset in range(1, half_k + 1):
@@ -91,10 +97,9 @@ class DenseCommunityTopology:
                     b = order[rng.randint(0, n)]
                     if b == a:
                         continue
-                if not network.graph.are_friends(a, b):
-                    network.add_friendship(a, b)
-                    edges += 1
-        return edges
+                wired.setdefault((a, b) if a < b else (b, a))
+        network.add_friendships_arrays([a for a, _ in wired], [b for _, b in wired])
+        return len(wired)
 
 
 @dataclass(slots=True)
@@ -130,28 +135,23 @@ class HubTopology:
         age: Categorical,
     ) -> List[UserId]:
         """Create hub users and wire memberships; returns hub ids."""
-        covered = [a for a in accounts if rng.bernoulli(self.coverage)]
+        hit = rng.bernoulli_many(self.coverage, len(accounts)).tolist()
+        covered = [a for a, chosen in zip(accounts, hit) if chosen]
         if len(covered) < 2:
             return []
         slots = len(covered) * self.memberships_per_account
         hub_count = max(1, round(slots / self.hub_size))
-        hubs: List[UserId] = []
-        for _ in range(hub_count):
-            hub = network.create_user(
-                gender=Gender.MALE if rng.bernoulli(0.5) else Gender.FEMALE,
-                age=sample_age(rng, age),
-                country="OTHER",
-                friend_list_public=False,
-                searchable=False,
-                cohort=f"{COHORT_FARM_PREFIX}{farm_name}",
-            )
-            hubs.append(hub.user_id)
+        hubs = create_hubs(
+            network, rng, hub_count, 0.5, age,
+            country="OTHER", cohort=f"{COHORT_FARM_PREFIX}{farm_name}",
+        )
+        per_account = min(self.memberships_per_account, len(hubs))
+        members: List[UserId] = []
+        joined: List[UserId] = []
         for account in covered:
-            chosen = rng.sample_without_replacement(
-                hubs, min(self.memberships_per_account, len(hubs))
-            )
-            for hub_id in chosen:
-                network.add_friendship(account, hub_id)
+            members.extend([account] * per_account)
+            joined.extend(rng.sample_without_replacement(hubs, per_account))
+        network.add_friendships_arrays(members, joined)
         return hubs
 
 

@@ -156,9 +156,7 @@ class ProfileCrawler:
         faults are independent of user attributes.
         """
         directory = PublicDirectory(self._network)
-        listed = directory.searchable_user_ids()
-        sample_size = min(sample_size, len(listed))
-        sample = directory.sample_users(rng, sample_size)
+        sample = directory.sample_users(rng, min(sample_size, len(directory)))
         records: List[BaselineRecord] = []
         with self.metrics.span("crawl.baseline"):
             for user_id in sample:

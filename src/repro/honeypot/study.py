@@ -122,12 +122,6 @@ class StudyConfig:
         Whether this run crawls the baseline sample and computes the
         global demographics report.  In a sharded study exactly one
         shard (the primary) collects them; the merge takes them from it.
-    failpoints:
-        Deterministic fault-injection spec (see :mod:`repro.failpoints`),
-        e.g. ``"ckpt.journal.record=kill@25"``.  ``None`` (the default)
-        arms nothing and adds no overhead.  Deliberately **excluded from
-        the config fingerprint**: an injected run and its clean resume
-        are the same study, and must agree on identity.
     """
 
     seed: int = 20140312
@@ -148,7 +142,6 @@ class StudyConfig:
     checkpoint: Optional[CheckpointConfig] = None
     active_spec_ids: Optional[List[str]] = None
     collect_globals: bool = True
-    failpoints: Optional[str] = None
 
     def __post_init__(self) -> None:
         check_positive(self.scale, "scale")
@@ -300,8 +293,6 @@ class HoneypotStudy:
         """
         config = self.config
         metrics = config.observability.build_registry()
-        if config.failpoints:
-            failpoints.configure(config.failpoints)
         if failpoints.is_armed():
             failpoints.bind_metrics(metrics)
         manager = self._open_checkpoint(metrics)

@@ -216,12 +216,7 @@ class PlatformAPI:
         profile = self.network.user(user_id)
         if not self.network.privacy.can_view_friend_list(profile):
             return None
-        friends = self.network.privacy.visible_friends(
-            profile, self.network.graph.neighbors(user_id)
-        )
-        ids = np.fromiter(friends, dtype=np.int32, count=len(friends))
-        ids.sort()
-        return ids
+        return self.network.graph.neighbor_array(user_id)
 
     def get_declared_friend_count(self, user_id: UserId) -> Optional[int]:
         """The count shown on a public friend list, else None when gone."""

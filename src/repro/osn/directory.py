@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from typing import List
 
+import numpy as np
+
 from repro.osn.ids import UserId
 from repro.osn.network import SocialNetwork
 from repro.util.rng import RngStream
@@ -22,13 +24,17 @@ class PublicDirectory:
     def __init__(self, network: SocialNetwork) -> None:
         self._network = network
 
+    def _listed(self) -> np.ndarray:
+        profiles = self._network.profiles
+        return profiles.searchable_mask() & profiles.alive_mask()
+
+    def __len__(self) -> int:
+        """How many accounts the directory lists."""
+        return int(np.count_nonzero(self._listed()))
+
     def searchable_user_ids(self) -> List[UserId]:
-        """All ids currently listed in the directory (sorted for determinism)."""
-        return sorted(
-            profile.user_id
-            for profile in self._network.all_users()
-            if profile.searchable and not profile.is_terminated
-        )
+        """All ids currently listed in the directory, ascending."""
+        return (np.flatnonzero(self._listed()) + self._network.profiles.id_base).tolist()
 
     def sample_users(self, rng: RngStream, n: int) -> List[UserId]:
         """Sample ``n`` distinct directory entries uniformly at random."""

@@ -9,12 +9,12 @@ outside int32 is rejected with :class:`ValidationError` before any
 column grows.  The per-node tables (node array, offsets) stay int64, as
 :class:`repro.osn.columns.ColumnIndex`'s per-key tables do, because a
 scalar lookup binary-searches the node array with a Python int.
-Edges added after a compile are mirrored in a small dict-of-set
-overlay so point queries (``are_friends``, ``degree``, ``neighbors``)
-stay O(1)-ish without recompiling; removals (account terminations) mark
-the compiled form stale and the next structural query folds everything
-back in one vectorised pass.  Analyses that need richer graph algorithms
-export to :mod:`networkx` via :meth:`FriendshipGraph.to_networkx`.
+The graph is write-then-read: writes (edges, nodes, removals for account
+terminations) only append, and the first query after them compiles
+everything in one vectorised pass.  A study wires its whole world
+before it reads a friend list, so it compiles once.  Analyses that need
+richer graph algorithms export to :mod:`networkx` via
+:meth:`FriendshipGraph.to_networkx`.
 """
 
 from __future__ import annotations
@@ -119,21 +119,11 @@ class FriendshipGraph:
         self._c_neighbors = _EMPTY_I32
         self._c_pair_lo = _EMPTY_I32
         self._c_pair_hi = _EMPTY_I32
-        self._c_edge_count = 0
         self._compiled_edges_n = 0
         self._compiled_nodes_n = 0
         self._compiled_removals_n = 0
-        # overlay: edges/nodes appended since the last compile, kept as
-        # plain dict/set so clean-state point queries skip recompiling
-        self._overlay: Dict[int, Set[int]] = {}
-        self._overlay_nodes: Set[int] = set()
-        self._overlay_edge_count = 0
 
     # -- compiled-state helpers ---------------------------------------------
-
-    def _clean(self) -> bool:
-        """Whether the compiled form plus overlay covers current state."""
-        return self._compiled_removals_n == len(self._removals)
 
     def _compiled_slot(self, user_id: int) -> int:
         """Index of ``user_id`` in the compiled node array, or -1."""
@@ -150,7 +140,11 @@ class FriendshipGraph:
         return self._c_neighbors[self._c_off_lo[slot] : self._c_off_hi[slot]]
 
     def _compile(self) -> None:
-        """Fold raw columns, removals, and overlay into fresh CSR state."""
+        """Fold raw columns and removals into fresh CSR state.
+
+        Every query calls this first; it returns at once unless a write
+        or a removal landed since the last compile.
+        """
         n_edges = len(self._edge_a)
         n_nodes = len(self._explicit_nodes)
         n_removals = len(self._removals)
@@ -193,38 +187,24 @@ class FriendshipGraph:
         self._c_nodes = nodes
         self._c_pair_lo = pair_lo
         self._c_pair_hi = pair_hi
-        self._c_edge_count = int(pair_lo.shape[0])
         self._compiled_edges_n = n_edges
         self._compiled_nodes_n = n_nodes
         self._compiled_removals_n = n_removals
-        self._overlay = {}
-        self._overlay_nodes = set()
-        self._overlay_edge_count = 0
 
     # -- mutation -----------------------------------------------------------------
+    #
+    # Writes only append to the raw columns; the first query after them
+    # compiles.  A duplicate edge or node costs one raw row until then.
 
     def add_user(self, user_id: UserId) -> None:
         """Ensure a node exists for ``user_id`` (no-op if present)."""
         user_id = int(user_id)
         check_int32(user_id, "user id")
-        if self._clean():
-            if user_id in self._overlay_nodes or self._compiled_slot(user_id) >= 0:
-                return
-            self._overlay_nodes.add(user_id)
         self._explicit_nodes.append(user_id)
 
     def add_users_bulk(self, user_ids) -> None:
-        """Ensure nodes exist for a batch of *fresh* (never-seen) user ids."""
-        ids = as_int32(user_ids, "user id")
-        if ids.shape[0] == 0:
-            return
-        self._explicit_nodes.extend(ids)
-        if self._clean():
-            self._overlay_nodes.update(ids.tolist())
-
-    def _note_new_endpoint(self, user_id: int) -> None:
-        if user_id not in self._overlay_nodes and self._compiled_slot(user_id) < 0:
-            self._overlay_nodes.add(user_id)
+        """Ensure nodes exist for a batch of user ids."""
+        self._explicit_nodes.extend(as_int32(user_ids, "user id"))
 
     def add_friendship(self, a: UserId, b: UserId) -> None:
         """Create the undirected edge (a, b).  Idempotent; self-loops rejected."""
@@ -232,114 +212,72 @@ class FriendshipGraph:
         a, b = int(a), int(b)
         check_int32(a, "friendship endpoint")
         check_int32(b, "friendship endpoint")
-        if not self._clean():
-            self._compile()
-        overlay_a = self._overlay.get(a)
-        if overlay_a is not None and b in overlay_a:
-            return
-        compiled = self._compiled_neighbors(a)
-        if compiled.shape[0]:
-            i = int(compiled.searchsorted(b))
-            if i < compiled.shape[0] and compiled[i] == b:
-                return
         self._edge_a.append(a)
         self._edge_b.append(b)
-        if overlay_a is None:
-            overlay_a = self._overlay[a] = set()
-        overlay_a.add(b)
-        self._overlay.setdefault(b, set()).add(a)
-        self._note_new_endpoint(a)
-        self._note_new_endpoint(b)
-        self._overlay_edge_count += 1
 
-    def add_friendship_arrays(self, a, b) -> int:
-        """Add the undirected edges ``(a[i], b[i])``; returns how many were new.
+    def add_friendship_arrays(self, a, b) -> None:
+        """Add the undirected edges ``(a[i], b[i])``.
 
         Behaviour per pair matches :meth:`add_friendship` (idempotent,
-        self-loops rejected).  The configuration-model wiring feeds ~190k
-        pairs per paper-scale build; one compile absorbs the whole batch.
-        A batch with a self-loop or an endpoint outside int32 is rejected
+        self-loops rejected), and so does the cost: one append per
+        column, no compile.  A batch with endpoint columns of different
+        lengths, a self-loop or an endpoint outside int32 is rejected
         whole, before any edge is added.
         """
         a = as_int32(a, "friendship endpoint")
         b = as_int32(b, "friendship endpoint")
-        if a.shape[0] == 0:
-            return 0
+        if a.shape != b.shape:
+            raise ValidationError(f"{a.shape[0]} edge sources for {b.shape[0]} targets")
         if bool(np.any(a == b)):
             raise ValidationError("a user cannot befriend themselves")
-        self._compile()
-        before = self._c_edge_count
         self._edge_a.extend(a)
         self._edge_b.extend(b)
-        self._compile()
-        return self._c_edge_count - before
 
     def remove_user(self, user_id: UserId) -> None:
         """Remove a node and all incident edges (platform account deletion)."""
-        user_id = int(user_id)
-        if self._clean() and not (
-            user_id in self._overlay_nodes or self._compiled_slot(user_id) >= 0
-        ):
-            return
         self._removals.append(
-            (user_id, len(self._explicit_nodes), len(self._edge_a))
+            (int(user_id), len(self._explicit_nodes), len(self._edge_a))
         )
 
     # -- queries ------------------------------------------------------------------
 
     def __contains__(self, user_id: UserId) -> bool:
-        if not self._clean():
-            self._compile()
-        user_id = int(user_id)
-        return user_id in self._overlay_nodes or self._compiled_slot(user_id) >= 0
+        self._compile()
+        return self._compiled_slot(int(user_id)) >= 0
 
     @property
     def node_count(self) -> int:
         """Number of users in the graph."""
-        if not self._clean():
-            self._compile()
-        return int(self._c_nodes.shape[0]) + len(self._overlay_nodes)
+        self._compile()
+        return int(self._c_nodes.shape[0])
 
     @property
     def edge_count(self) -> int:
         """Number of friendships."""
-        if not self._clean():
-            self._compile()
-        return self._c_edge_count + self._overlay_edge_count
+        self._compile()
+        return int(self._c_pair_lo.shape[0])
+
+    def neighbor_array(self, user_id: UserId) -> np.ndarray:
+        """The friends of ``user_id`` as a fresh ascending int32 array."""
+        self._compile()
+        return self._compiled_neighbors(int(user_id)).copy()
 
     def neighbors(self, user_id: UserId) -> Set[UserId]:
         """The friend set of ``user_id`` (empty for unknown users)."""
-        if not self._clean():
-            self._compile()
-        user_id = int(user_id)
-        # repro-lint: allow-DET003 defensive copy; PlatformAPI.get_friend_list sorts before serializing
-        friends = set(self._compiled_neighbors(user_id).tolist())
-        overlay = self._overlay.get(user_id)
-        if overlay:
-            friends |= overlay
-        return friends
+        self._compile()
+        # repro-lint: allow-DET003 membership/len only; ordered reads go through neighbor_array
+        return set(self._compiled_neighbors(int(user_id)).tolist())
 
     def degree(self, user_id: UserId) -> int:
         """Friend count of ``user_id``."""
-        if not self._clean():
-            self._compile()
-        user_id = int(user_id)
-        overlay = self._overlay.get(user_id)
-        return int(self._compiled_neighbors(user_id).shape[0]) + (
-            len(overlay) if overlay else 0
-        )
+        self._compile()
+        return int(self._compiled_neighbors(int(user_id)).shape[0])
 
     def are_friends(self, a: UserId, b: UserId) -> bool:
         """Whether the edge (a, b) exists."""
-        if not self._clean():
-            self._compile()
+        self._compile()
         a, b = int(a), int(b)
-        overlay = self._overlay.get(a)
-        if overlay is not None and b in overlay:
-            return True
         compiled = self._compiled_neighbors(a)
-        if compiled.shape[0] == 0:
-            return False
         i = int(compiled.searchsorted(b))
         return i < compiled.shape[0] and bool(compiled[i] == b)
 

@@ -198,21 +198,20 @@ class SocialNetwork:
         require(not self.profiles.is_terminated(b), f"user {b} is terminated")
         self.graph.add_friendship(a, b)
 
-    def add_friendships_arrays(self, a, b) -> int:
-        """Create the friendships ``(a[i], b[i])``; returns how many were new.
+    def add_friendships_arrays(self, a, b) -> None:
+        """Create the friendships ``(a[i], b[i])``.
 
-        The batch counterpart of :meth:`add_friendship`: edges are
-        idempotent, and a batch with a self-loop or an endpoint that is
-        not a live account is refused whole, before any edge is added.
-        The paper-scale world wires ~370k stub pairs; array-in, array-out
-        keeps the whole validation one masked comparison per endpoint.
+        The batch counterpart of :meth:`add_friendship`, and the one
+        every wiring step uses: edges are idempotent, and a batch with
+        endpoint columns of different lengths, a self-loop or an endpoint
+        that is not a live account is refused whole, before any edge is
+        added.  Validation is one masked comparison per endpoint and the
+        graph only appends, so a batch costs no compile.
         """
         a = np.asarray(a, dtype=np.int64)
         b = np.asarray(b, dtype=np.int64)
-        if a.shape[0] == 0:
-            return 0
         self._validate_live_users(np.concatenate([a, b]))
-        return self.graph.add_friendship_arrays(a, b)
+        self.graph.add_friendship_arrays(a, b)
 
     def _validate_live_users(self, user_ids: np.ndarray) -> None:
         """Every id must name a registered, non-terminated account."""

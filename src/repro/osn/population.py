@@ -77,6 +77,37 @@ def sample_age(rng: RngStream, bracket_dist: Categorical) -> int:
     return rng.randint(*_bracket_bounds(bracket))
 
 
+def create_hubs(
+    network: SocialNetwork,
+    rng: RngStream,
+    count: int,
+    male_share: float,
+    ages: Categorical,
+    *,
+    country: str,
+    cohort: str,
+) -> List[int]:
+    """Create ``count`` private, unsearchable hub accounts in one append.
+
+    Hub by hub, each draws its gender and then its age, as a
+    ``create_user`` loop would; returns the new ids in creation order.
+    """
+    genders: List[bool] = []
+    hub_ages: List[int] = []
+    for _ in range(count):
+        genders.append(rng.bernoulli(male_share))
+        hub_ages.append(sample_age(rng, ages))
+    return network.create_users_bulk(
+        count,
+        gender_codes=genders,
+        ages=hub_ages,
+        countries=[country] * count,
+        friend_list_public=False,
+        searchable=False,
+        cohort=cohort,
+    )
+
+
 def sample_ages(rng: RngStream, bracket_dist: Categorical, n: int) -> np.ndarray:
     """Draw ``n`` ages: brackets in one vectorised draw, uniform inside each.
 

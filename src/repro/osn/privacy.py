@@ -8,7 +8,7 @@ honest: it asks :class:`PrivacyPolicy` instead of reaching into ground truth.
 
 from __future__ import annotations
 
-from typing import Optional, Set
+from typing import Optional
 
 from repro.osn.ids import UserId
 from repro.osn.profile import UserProfile
@@ -39,17 +39,3 @@ class PrivacyPolicy:
         analysis; only terminated accounts disappear.
         """
         return not owner.is_terminated
-
-    def visible_friends(
-        self, owner: UserProfile, friends: Set[UserId], viewer: Optional[UserId] = None
-    ) -> Set[UserId]:
-        """The subset of ``friends`` a crawler can enumerate.
-
-        Returns the full set when the list is public, the empty set when it
-        is not.  (Per-friend opt-outs are modelled as the owner-level flag;
-        the paper likewise treats observed counts as lower bounds.)
-        """
-        if not self.can_view_friend_list(owner, viewer):
-            return set()
-        # repro-lint: allow-DET003 defensive copy; PlatformAPI.get_friend_list sorts before serializing
-        return set(friends)

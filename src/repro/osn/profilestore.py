@@ -26,13 +26,14 @@ import numpy as np
 
 from repro.osn.columns import StringInterner, TypedVector
 from repro.osn.ids import UserId
-from repro.osn.profile import COHORT_ORGANIC, Gender, ProfileProperties
+from repro.osn.profile import _BRACKET_BOUNDS, COHORT_ORGANIC, Gender, ProfileProperties
 from repro.util.validation import require
 
 __all__ = ["ProfileStore", "ProfileView"]
 
 _GENDER_BY_CODE = (Gender.FEMALE, Gender.MALE)
 _ALIVE = -1  # terminated_at sentinel
+_BRACKET_LOWS = np.array([low for low, _ in _BRACKET_BOUNDS], dtype=np.int16)
 
 
 def _gender_code(gender: Gender) -> int:
@@ -313,6 +314,10 @@ class ProfileStore:
 
     def ages(self) -> np.ndarray:
         return self._age.values()
+
+    def age_bracket_indices(self) -> np.ndarray:
+        """Each row's index into ``AGE_BRACKETS`` (a fresh array)."""
+        return np.searchsorted(_BRACKET_LOWS, self._age.values(), side="right") - 1
 
     def gender_codes(self) -> np.ndarray:
         return self._gender.values()

@@ -109,7 +109,7 @@ class TerminationSweep:
         np.add.at(coverage, lefts[qualifying], 1)
         np.add.at(coverage, rights[qualifying] + 1, -1)
         flagged_mask = np.cumsum(coverage[:-1]) > 0
-        # repro-lint: allow-DET003 consumed membership-only by run(), which sweeps sorted(candidates)
+        # repro-lint: allow-DET003 run() sorts it before use; tests read membership and len only
         return set(users[flagged_mask].tolist())
 
     def run(
@@ -119,22 +119,37 @@ class TerminationSweep:
         rng: RngStream,
         time: int,
     ) -> List[UserId]:
-        """Terminate accounts among the pages' likers; returns terminated ids."""
+        """Terminate accounts among the pages' likers; returns terminated ids.
+
+        Live candidates draw one uniform each in ascending id order, as a
+        per-candidate Bernoulli loop would, but the hazards and the draws
+        are one columnar pass.
+        """
         require(time >= 0, "sweep time must be >= 0")
         burst_flagged: Set[UserId] = set()
-        candidates: Set[UserId] = set()
+        likers: List[UserId] = []
         for page_id in page_ids:
-            candidates.update(network.page_liker_ids(page_id))
+            likers.extend(network.page_liker_ids(page_id))
             burst_flagged.update(self.burst_likers(network, page_id))
-        terminated: List[UserId] = []
-        for user_id in sorted(candidates):
-            profile = network.user(user_id)
-            if profile.is_terminated:
-                continue
-            probability = self.policy.hazard(profile.cohort, user_id in burst_flagged)
-            if rng.bernoulli(probability):
-                network.terminate_account(
-                    user_id, time, purge_likes=self.policy.purge_likes
-                )
-                terminated.append(user_id)
+        profiles = network.profiles
+        candidates = np.unique(np.asarray(likers, dtype=np.int64))
+        rows = candidates - profiles.id_base
+        live = profiles.alive_mask()[rows]
+        candidates, rows = candidates[live], rows[live]
+        if candidates.shape[0] == 0:
+            return []
+        # one hazard per (cohort, burst) pair, looked up per candidate
+        codes, cohort = np.unique(profiles.cohort_codes()[rows], return_inverse=True)
+        hazards = np.array(
+            [
+                [self.policy.hazard(name, False), self.policy.hazard(name, True)]
+                for name in map(profiles.strings.value, codes.tolist())
+            ]
+        )
+        in_burst = np.isin(candidates, np.array(sorted(burst_flagged), dtype=np.int64))
+        probability = np.where(in_burst, hazards[cohort, 1], hazards[cohort, 0])
+        hit = rng.generator.random(candidates.shape[0]) < probability
+        terminated = candidates[hit].tolist()
+        for user_id in terminated:
+            network.terminate_account(user_id, time, purge_likes=self.policy.purge_likes)
         return terminated

@@ -1,9 +1,10 @@
 """Deterministic discrete-event engine.
 
-Events are ``(time, sequence, callback)`` triples kept in a binary heap.  The
+The queue is a binary heap of ``(time, sequence, event)`` tuples.  The
 sequence number breaks ties so that two events scheduled for the same minute
 always fire in scheduling order — determinism matters because callbacks draw
-from seeded RNG streams.
+from seeded RNG streams.  Sequences are unique, so the heap compares tuples
+in C and never reaches the event itself.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from __future__ import annotations
 import heapq
 import time as _walltime
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional
+from typing import Callable, List, Optional, Tuple
 
 from repro.obs.metrics import NULL_METRICS, MetricsRegistry
 from repro.sim.clock import SimClock
@@ -20,7 +21,7 @@ from repro.util.validation import require
 EventCallback = Callable[[int], None]
 
 
-@dataclass(slots=True, order=True)
+@dataclass(slots=True)
 class ScheduledEvent:
     """A pending event in the engine's queue."""
 
@@ -53,7 +54,7 @@ class EventEngine:
     ) -> None:
         self.clock = clock if clock is not None else SimClock()
         self.metrics = metrics if metrics is not None else NULL_METRICS
-        self._queue: List[ScheduledEvent] = []
+        self._queue: List[Tuple[int, int, ScheduledEvent]] = []
         self._sequence = 0
         self._fired = 0
         self._skipped_cancelled = 0
@@ -61,7 +62,7 @@ class EventEngine:
     @property
     def pending(self) -> int:
         """Number of not-yet-fired, not-cancelled events."""
-        return sum(1 for event in self._queue if not event.cancelled)
+        return sum(1 for _, _, event in self._queue if not event.cancelled)
 
     @property
     def fired(self) -> int:
@@ -79,7 +80,7 @@ class EventEngine:
         )
         event = ScheduledEvent(time=time, sequence=self._sequence, callback=callback, label=label)
         self._sequence += 1
-        heapq.heappush(self._queue, event)
+        heapq.heappush(self._queue, (time, event.sequence, event))
         return event
 
     def schedule_after(self, delay: int, callback: EventCallback, label: str = "") -> ScheduledEvent:
@@ -95,8 +96,8 @@ class EventEngine:
         """
         require(end_time >= self.clock.now, "end_time must be >= current time")
         started = _walltime.perf_counter()
-        while self._queue and self._queue[0].time <= end_time:
-            event = heapq.heappop(self._queue)
+        while self._queue and self._queue[0][0] <= end_time:
+            _, _, event = heapq.heappop(self._queue)
             if event.cancelled:
                 self._skipped_cancelled += 1
                 continue
@@ -110,7 +111,7 @@ class EventEngine:
         """Fire all remaining events in order."""
         started = _walltime.perf_counter()
         while self._queue:
-            event = heapq.heappop(self._queue)
+            _, _, event = heapq.heappop(self._queue)
             if event.cancelled:
                 self._skipped_cancelled += 1
                 continue
@@ -130,7 +131,7 @@ class EventEngine:
         """
         return sorted(
             [event.time, event.sequence, event.label]
-            for event in self._queue
+            for _, _, event in self._queue
             if not event.cancelled
         )
 

@@ -136,6 +136,15 @@ class RngStream:
         require(0.0 <= p <= 1.0, f"bernoulli p must be in [0,1], got {p}")
         return bool(self._generator.random() < p)
 
+    def bernoulli_many(self, p: float, n: int) -> np.ndarray:
+        """``n`` draws of :meth:`bernoulli` as one bool array.
+
+        Same values and same stream state after as ``n`` scalar calls:
+        both read one uniform per draw, in order.
+        """
+        require(0.0 <= p <= 1.0, f"bernoulli p must be in [0,1], got {p}")
+        return self._generator.random(n) < p
+
     def choice(self, items: Sequence, size: Optional[int] = None, replace: bool = True):
         """Choose one item (``size=None``) or a list of items from ``items``."""
         require(len(items) > 0, "choice requires a non-empty sequence")

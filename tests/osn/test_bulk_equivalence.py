@@ -34,6 +34,7 @@ from repro.osn.universe import (
 )
 from repro.util.rng import RngStream
 from repro.util.validation import ValidationError
+from tests.osn.test_cohort_passes import swap_in_scalar_references
 
 
 def _network_with(n_users: int, n_pages: int) -> tuple:
@@ -260,8 +261,8 @@ class TestFriendshipGraphCSR:
                 pairs.add((min(a, b), max(a, b)))
         pairs = sorted(pairs)
         edges = [(users[a], users[b]) for a, b in pairs]
-        # half through the array fast path (compiled core), half through
-        # scalar adds (overlay) — queries must merge both
+        # half through the array path, half through scalar adds: both
+        # only append, and the first query compiles them together
         half = len(edges) // 2
         network.add_friendships_arrays(
             np.array([a for a, _ in edges[:half]], dtype=np.int64),
@@ -499,8 +500,8 @@ class TestLikePagesFreshMany:
         assert network.page_liker_ids(pages[3]) == [users[2]]
 
 
-def _add_pairs(network: SocialNetwork, pairs) -> int:
-    return network.add_friendships_arrays(
+def _add_pairs(network: SocialNetwork, pairs) -> None:
+    network.add_friendships_arrays(
         np.array([a for a, _ in pairs], dtype=np.int64),
         np.array([b for _, b in pairs], dtype=np.int64),
     )
@@ -515,8 +516,8 @@ class TestAddFriendshipsBulk:
         pairs = [(0, 1), (1, 2), (0, 1), (3, 4), (2, 0)]
         for a, b in pairs:
             scalar_net.add_friendship(users[a], users[b])
-        added = _add_pairs(bulk_net, [(bulk_users[a], bulk_users[b]) for a, b in pairs])
-        assert added == 4  # one duplicate pair
+        _add_pairs(bulk_net, [(bulk_users[a], bulk_users[b]) for a, b in pairs])
+        assert bulk_net.graph.edge_count == 4  # one duplicate pair
         assert scalar_net.graph.edge_count == bulk_net.graph.edge_count
         # both networks allocate identical user ids, so edges compare directly
         for user_id in users:
@@ -553,16 +554,16 @@ def _scalar_like_pages_fresh_many(self, user_ids, pages, counts, time):
 
 def _scalar_add_friendships_arrays(self, a, b):
     """The pre-batching path: one `add_friendship` call per pair."""
-    before = self.graph.edge_count
     for x, y in zip(np.asarray(a).tolist(), np.asarray(b).tolist()):
         self.add_friendship(x, y)
-    return self.graph.edge_count - before
 
 
-def _study_fingerprint(config: StudyConfig) -> dict:
+def _study_fingerprint(config: StudyConfig, path) -> dict:
     artifacts = HoneypotStudy(config).run()
     network = artifacts.network
+    artifacts.dataset.to_jsonl(path)
     return {
+        "dataset_bytes": path.read_bytes(),
         "like_counts": {
             campaign_id: record.total_likes
             for campaign_id, record in artifacts.dataset.campaigns.items()
@@ -580,17 +581,19 @@ def _study_fingerprint(config: StudyConfig) -> dict:
 class TestSeededStudyEquivalence:
     """A seeded small study is identical via the scalar and batch write paths."""
 
-    def test_dataset_identical(self, monkeypatch):
+    def test_dataset_identical(self, monkeypatch, tmp_path):
         config = StudyConfig.small(seed=991)
-        bulk = _study_fingerprint(config)
+        bulk = _study_fingerprint(config, tmp_path / "bulk.jsonl")
         # Swap out both batch write entry points the generators use —
         # cohort-wide like appends and array edge wiring collapse to
-        # per-item `like_page` and `add_friendship` calls.
+        # per-item `like_page` and `add_friendship` calls — and every
+        # columnar cohort pass for the per-account loop it replaced.
         monkeypatch.setattr(
             SocialNetwork, "like_pages_fresh_many", _scalar_like_pages_fresh_many
         )
         monkeypatch.setattr(
             SocialNetwork, "add_friendships_arrays", _scalar_add_friendships_arrays
         )
-        scalar = _study_fingerprint(config)
+        swap_in_scalar_references(monkeypatch)
+        scalar = _study_fingerprint(config, tmp_path / "scalar.jsonl")
         assert scalar == bulk

@@ -35,12 +35,6 @@ class TestPrivacyPolicy:
         policy = PrivacyPolicy()
         assert policy.can_view_page_likes(profile(friend_list_public=False))
 
-    def test_visible_friends_all_or_nothing(self):
-        policy = PrivacyPolicy()
-        friends = {10, 11, 12}
-        assert policy.visible_friends(profile(friend_list_public=True), friends) == friends
-        assert policy.visible_friends(profile(friend_list_public=False), friends) == set()
-
 
 class TestPublicDirectory:
     def make_network(self):

@@ -6,6 +6,7 @@ import pytest
 
 from repro import failpoints
 from repro.failpoints import FailpointError, FaultSpec, parse_spec
+from repro.honeypot.study import StudyConfig
 from repro.util.durable import atomic_write_text, sweep_stale_tmp
 
 
@@ -148,6 +149,12 @@ class TestEnvInstall:
     def test_empty_environment_arms_nothing(self):
         assert failpoints.install_from_env({}) == []
         assert not failpoints.is_armed()
+
+    def test_study_config_takes_no_spec(self):
+        # a spec armed by the study itself would skip the shard worker's
+        # target scoping and restart scrub; the env and --failpoint remain
+        with pytest.raises(TypeError):
+            StudyConfig(failpoints="ckpt.journal.record=kill@25")
 
     def test_registry_rejects_duplicate_registration(self):
         with pytest.raises(ValueError, match="registered twice"):
