@@ -23,7 +23,7 @@ sample, and the termination recheck counts an unreachable profile as alive
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, List, Optional, TypeVar
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, TypeVar
 
 from repro.honeypot.storage import (
     CRAWL_COMPLETE,
@@ -37,7 +37,6 @@ from repro.osn.directory import PublicDirectory
 from repro.osn.faults import CrawlFault
 from repro.osn.ids import UserId
 from repro.osn.network import SocialNetwork
-from repro.osn.profile import UserProfile
 from repro.util.rng import RngStream
 
 T = TypeVar("T")
@@ -56,69 +55,36 @@ class ProfileCrawler:
         self.api = api if api is not None else PlatformAPI(network)
         self.metrics = metrics if metrics is not None else NULL_METRICS
 
-    def insights_profile(self, user_id: UserId) -> UserProfile:
-        """Demographics via the page-insights view — the ONE ground-truth read.
+    def insights_demographics(
+        self, user_ids: Sequence[UserId]
+    ) -> Tuple[List[str], List[str], List[str]]:
+        """Gender, age bracket and country of each user via the page-insights
+        view — the ONE ground-truth read.
 
         Everything else the crawler collects goes through ``self.api`` so
         privacy censoring and request accounting happen at the API
         boundary.  Demographics are the single documented exemption: the
         paper's page-insights reports aggregated *private* attributes of a
         page's likers (paper footnote 1), so the crawler may read the
-        profile object directly for gender/age/country — and only here.
+        profile columns directly for gender/age/country — and only here.
         Any other ``self._network`` read in this class is a bug.
         """
-        return self._network.user(user_id)
+        return self._network.profiles.demographics(user_ids)
 
-    def _guarded(self, thunk: Callable[[], T], failed: List[str], tag: str) -> Optional[T]:
+    def _guarded(
+        self, endpoint: Callable[[UserId], T], user_id: UserId, failed: List[str], tag: str
+    ) -> Optional[T]:
         """Run one API call; on a crawl fault, record the lost field group."""
         try:
-            return thunk()
+            return endpoint(user_id)
         except CrawlFault:
             if tag not in failed:
                 failed.append(tag)
             return None
 
     def crawl_liker(self, user_id: UserId, campaign_ids: List[str]) -> LikerRecord:
-        """Crawl one liker's public profile.
-
-        Demographics come from the insights reports (always available in
-        aggregate); friend and like data go through the platform API, so
-        censoring is enforced at the API boundary, not here.  A crawl
-        fault on any API call yields a partial record rather than an
-        exception: the study keeps its campaign tables complete even when
-        individual profiles are unreachable.
-        """
-        profile = self.insights_profile(user_id)
-        failed: List[str] = []
-        visible_friends = self._guarded(
-            lambda: self.api.get_friend_list(user_id), failed, "friends"
-        )
-        declared = self._guarded(
-            lambda: self.api.get_declared_friend_count(user_id), failed, "friends"
-        )
-        liked_pages = self._guarded(
-            lambda: self.api.get_page_likes(user_id), failed, "likes"
-        )
-        declared_likes = self._guarded(
-            lambda: self.api.get_declared_like_count(user_id), failed, "likes"
-        )
-        self.metrics.inc("crawl.likers_total")
-        if failed:
-            self.metrics.inc("crawl.likers_partial")
-        return LikerRecord(
-            user_id=int(user_id),
-            gender=profile.gender.value,
-            age_bracket=profile.age_bracket,
-            country=profile.country,
-            friend_list_public=visible_friends is not None,
-            declared_friend_count=declared,
-            visible_friend_ids=visible_friends if visible_friends is not None else [],
-            liked_page_ids=liked_pages if liked_pages is not None else [],
-            declared_like_count=declared_likes if declared_likes is not None else 0,
-            campaign_ids=list(campaign_ids),
-            crawl_status=CRAWL_COMPLETE if not failed else CRAWL_PARTIAL,
-            failed_fields=failed,
-        )
+        """Crawl one liker's public profile (a one-liker :meth:`crawl_likers`)."""
+        return self.crawl_likers({user_id: campaign_ids})[int(user_id)]
 
     def crawl_likers(
         self,
@@ -127,14 +93,51 @@ class ProfileCrawler:
     ) -> Dict[int, LikerRecord]:
         """Crawl every liker; ``liker_campaigns`` maps liker -> campaign ids.
 
+        Demographics come from the insights reports (always available in
+        aggregate); friend and like data go through the platform API, so
+        censoring is enforced at the API boundary, not here.  The API
+        answers the whole loop from one crawl scope.  A crawl fault on
+        any API call yields a partial record rather than an exception:
+        the study keeps its campaign tables complete even when individual
+        profiles are unreachable.
+
         ``on_record`` (when given) is called with each record as soon as it
         is crawled — the checkpoint journal's write-ahead hook, so a crash
         mid-crawl loses at most the record in flight.
         """
+        likers = sorted(liker_campaigns.items())
+        user_ids = [user_id for user_id, _ in likers]
+        demographics = zip(*self.insights_demographics(user_ids))
+        api = self.api
         records: Dict[int, LikerRecord] = {}
-        with self.metrics.span("crawl.likers"):
-            for user_id, campaigns in sorted(liker_campaigns.items()):
-                record = self.crawl_liker(user_id, campaigns)
+        with self.metrics.span("crawl.likers"), api.crawl_scope(user_ids):
+            for (user_id, campaigns), (gender, bracket, country) in zip(likers, demographics):
+                failed: List[str] = []
+                friends = self._guarded(api.get_friend_list, user_id, failed, "friends")
+                declared = self._guarded(
+                    api.get_declared_friend_count, user_id, failed, "friends"
+                )
+                liked_pages = self._guarded(api.get_page_likes, user_id, failed, "likes")
+                declared_likes = self._guarded(
+                    api.get_declared_like_count, user_id, failed, "likes"
+                )
+                self.metrics.inc("crawl.likers_total")
+                if failed:
+                    self.metrics.inc("crawl.likers_partial")
+                record = LikerRecord(
+                    user_id=int(user_id),
+                    gender=gender,
+                    age_bracket=bracket,
+                    country=country,
+                    friend_list_public=friends is not None,
+                    declared_friend_count=declared,
+                    visible_friend_ids=friends if friends is not None else [],
+                    liked_page_ids=liked_pages if liked_pages is not None else [],
+                    declared_like_count=declared_likes if declared_likes is not None else 0,
+                    campaign_ids=list(campaigns),
+                    crawl_status=CRAWL_COMPLETE if not failed else CRAWL_PARTIAL,
+                    failed_fields=failed,
+                )
                 records[int(user_id)] = record
                 if on_record is not None:
                     on_record(record)
@@ -158,7 +161,7 @@ class ProfileCrawler:
         directory = PublicDirectory(self._network)
         sample = directory.sample_users(rng, min(sample_size, len(directory)))
         records: List[BaselineRecord] = []
-        with self.metrics.span("crawl.baseline"):
+        with self.metrics.span("crawl.baseline"), self.api.crawl_scope(sample):
             for user_id in sample:
                 try:
                     count = self.api.get_declared_like_count(user_id)
@@ -184,8 +187,9 @@ class ProfileCrawler:
         counts as alive and the result stays a lower bound.
         """
         terminated: List[int] = []
-        with self.metrics.span("crawl.termination_recheck"):
-            for user_id in sorted(set(int(u) for u in user_ids)):
+        ids = sorted(set(int(u) for u in user_ids))
+        with self.metrics.span("crawl.termination_recheck"), self.api.crawl_scope(ids):
+            for user_id in ids:
                 try:
                     profile = self.api.get_profile(UserId(user_id))
                 except CrawlFault:

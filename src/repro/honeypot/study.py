@@ -38,7 +38,7 @@ from repro.honeypot.storage import (
 )
 from repro.obs.manifest import config_fingerprint
 from repro.obs.metrics import MetricsRegistry, ObservabilityConfig
-from repro.osn.api import PlatformAPI, ReadEndpoints, RequestStats
+from repro.osn.api import CrawlScopeError, PlatformAPI, ReadEndpoints, RequestStats
 from repro.osn.faults import FaultProfile, FaultyPlatformAPI
 from repro.osn.ids import PageId, UserId
 from repro.osn.resilient import ResilientAPI, RetryPolicy
@@ -568,6 +568,9 @@ class HoneypotStudy:
         phase: str,
     ) -> None:
         """Reach a barrier: snapshot in a fresh run, verify+restore on resume."""
+        if components.api.in_crawl_scope:
+            # a scope's read is not study state: it must never span a barrier
+            raise CrawlScopeError(f"a crawl scope is open at the {phase} barrier")
         if manager is None:
             return
         stored = manager.at_barrier(
@@ -712,8 +715,8 @@ class HoneypotStudy:
             terminated = crawler.recheck_terminations(monitor.observed_liker_ids())
             record = dataset.campaigns[campaign_id]
             record.terminated_liker_ids = terminated
-            record.removed_like_count = len(
-                components.network.likes.removals_for_page(monitor.page_id)
+            record.removed_like_count = components.network.likes.page_removal_count(
+                monitor.page_id
             )
             for user_id in terminated:
                 if user_id in dataset.likers:

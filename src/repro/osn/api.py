@@ -11,19 +11,25 @@ weeks plus ~6k profiles).
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Optional, Protocol
+from typing import ContextManager, Iterator, Optional, Protocol, Sequence, Tuple
 
 import numpy as np
 
 from repro.obs.metrics import MetricsRegistry
 from repro.osn.ids import PageId, UserId
 from repro.osn.network import SocialNetwork
+from repro.osn.profileread import ProfileRead
 from repro.util.validation import check_positive
 
 
 class RequestBudgetExceeded(RuntimeError):
     """Raised when the crawler exceeds its configured request budget."""
+
+
+class CrawlScopeError(RuntimeError):
+    """A crawl scope was misused: nested, written under, or held at a barrier."""
 
 
 def _stat_view(key: str, cast):
@@ -150,6 +156,8 @@ class ReadEndpoints(Protocol):
 
     stats: RequestStats
 
+    def crawl_scope(self, user_ids: Sequence[UserId]) -> ContextManager[None]: ...
+
     def get_profile(self, user_id: UserId) -> Optional[PublicProfile]: ...
 
     def get_friend_list(self, user_id: UserId) -> Optional[np.ndarray]: ...
@@ -164,18 +172,25 @@ class ReadEndpoints(Protocol):
 
 
 @dataclass(slots=True)
-# repro-lint: allow-CKPT001 its only mutable field, stats, is a view over the study's MetricsRegistry — checkpointed via the request_stats/metrics keys of the study state_dict
+# repro-lint: allow-CKPT001 its mutable fields are stats, a view over the study's MetricsRegistry checkpointed via the request_stats/metrics keys of the study state_dict, and the crawl scope's read, which lives inside one crawl call and never spans a barrier (HoneypotStudy._checkpoint refuses an open scope)
 class PlatformAPI:
     """Privacy-enforcing read endpoints over a :class:`SocialNetwork`.
 
     ``max_requests`` optionally caps total calls (a crawl budget); exceeding
     it raises :class:`RequestBudgetExceeded` so studies fail loudly instead
     of silently under-crawling.
+
+    The five profile endpoints answer from a columnar
+    :class:`~repro.osn.profileread.ProfileRead`: the one
+    :meth:`crawl_scope` holds for the users a crawl loop requests, or a
+    one-user read for any other request.  Either way each call charges
+    once, before it reads.
     """
 
     network: SocialNetwork
     max_requests: Optional[int] = None
     stats: RequestStats = field(default_factory=RequestStats)
+    _scope: Optional[ProfileRead] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.max_requests is not None:
@@ -189,65 +204,95 @@ class PlatformAPI:
                 f"request budget of {self.max_requests} exceeded"
             )
 
+    # -- crawl scopes -------------------------------------------------------------
+
+    @contextmanager
+    def crawl_scope(self, user_ids: Sequence[UserId]) -> Iterator[None]:
+        """Answer profile requests for ``user_ids`` from one columnar read.
+
+        Inside the ``with`` block a profile request for one of these
+        users is a table lookup; it charges, and passes through any
+        fault and retry layers above, exactly as it would outside.
+        Scopes do not nest.  The read is a snapshot, so the scope raises
+        :class:`CrawlScopeError` on exit if a like, removal, friendship,
+        account or termination was written inside it; left by an
+        exception, it drops the read and lets the exception through.
+        """
+        if self._scope is not None:
+            raise CrawlScopeError("crawl scopes do not nest")
+        marks = self.network.write_marks()
+        self._scope = ProfileRead(self.network, user_ids)
+        try:
+            yield
+        finally:
+            self._scope = None
+        if self.network.write_marks() != marks:
+            raise CrawlScopeError("the network was written inside a crawl scope")
+
+    @property
+    def in_crawl_scope(self) -> bool:
+        """Whether a :meth:`crawl_scope` is open."""
+        return self._scope is not None
+
+    def _read(self, user_id: UserId) -> Tuple[ProfileRead, int]:
+        """The scope's read and row for ``user_id``, else a one-user read."""
+        scope = self._scope
+        if scope is not None:
+            row = scope.row_of.get(user_id)
+            if row is not None:
+                return scope, row
+        return ProfileRead(self.network, [user_id]), 0
+
     # -- profile endpoints --------------------------------------------------------
 
     def get_profile(self, user_id: UserId) -> Optional[PublicProfile]:
         """Public profile fields; None when the account is gone."""
         self._charge("profile")
-        if not self.network.has_user(user_id):
-            return None
-        profile = self.network.user(user_id)
-        if profile.is_terminated:
+        read, row = self._read(user_id)
+        if not read.alive[row]:
             return None
         return PublicProfile(
             user_id=int(user_id),
-            gender=profile.gender.value,
-            age_bracket=profile.age_bracket,
-            country=profile.country,
-            friend_list_public=profile.friend_list_public,
+            gender=read.genders[row],
+            age_bracket=read.brackets[row],
+            country=read.countries[row],
+            # a live account's friend list is visible exactly when public
+            friend_list_public=read.friends_visible[row],
         )
 
     def get_friend_list(self, user_id: UserId) -> Optional[np.ndarray]:
         """The friend list as a sorted int32 array if public, else None
         (private or terminated)."""
         self._charge("friend_list")
-        if not self.network.has_user(user_id):
+        read, row = self._read(user_id)
+        if not read.friends_visible[row]:
             return None
-        profile = self.network.user(user_id)
-        if not self.network.privacy.can_view_friend_list(profile):
-            return None
-        return self.network.graph.neighbor_array(user_id)
+        return read.friend_list(row)
 
     def get_declared_friend_count(self, user_id: UserId) -> Optional[int]:
         """The count shown on a public friend list, else None when gone."""
         self._charge("friend_list")
-        if not self.network.has_user(user_id):
+        read, row = self._read(user_id)
+        if not read.friends_visible[row]:
             return None
-        profile = self.network.user(user_id)
-        if not self.network.privacy.can_view_friend_list(profile):
-            return None
-        return self.network.declared_friend_count(user_id)
+        return read.declared_friend_count(row)
 
     def get_page_likes(self, user_id: UserId) -> Optional[np.ndarray]:
         """Pages the user likes (public in 2014) as a sorted int32 array,
         else None when gone."""
         self._charge("page_likes")
-        if not self.network.has_user(user_id):
+        read, row = self._read(user_id)
+        if not read.likes_visible[row]:
             return None
-        profile = self.network.user(user_id)
-        if not self.network.privacy.can_view_page_likes(profile):
-            return None
-        return self.network.user_liked_page_ids_sorted(user_id)
+        return read.liked_pages(row)
 
     def get_declared_like_count(self, user_id: UserId) -> Optional[int]:
         """Total like count on the profile, else None when gone."""
         self._charge("page_likes")
-        if not self.network.has_user(user_id):
+        read, row = self._read(user_id)
+        if not read.likes_visible[row]:
             return None
-        profile = self.network.user(user_id)
-        if not self.network.privacy.can_view_page_likes(profile):
-            return None
-        return self.network.declared_like_count(user_id)
+        return read.declared_like_count(row)
 
     # -- page endpoints -----------------------------------------------------------
 

@@ -33,11 +33,14 @@ keys (so the order of equal keys never depends on the sort algorithm),
 insertion-order code assignment, and no hashing of anything but Python
 ints.  :func:`sorted_unique` is the one dedup the compiled structures
 and the Figure 5 unions share: a sort and an adjacent-difference mask.
+:func:`pack_pairs` and :func:`unpack_low` are the one ``(high, low)``
+int64 packing the graph's compile and :func:`sort_segments` share.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from itertools import chain
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -49,7 +52,10 @@ __all__ = [
     "ColumnIndex",
     "as_int32",
     "check_int32",
+    "pack_pairs",
+    "sort_segments",
     "sorted_unique",
+    "unpack_low",
 ]
 
 _MIN_CAPACITY = 16
@@ -110,6 +116,62 @@ def sorted_unique(values: np.ndarray) -> np.ndarray:
     keep[0] = True
     np.not_equal(ordered[1:], ordered[:-1], out=keep[1:])
     return ordered[keep]
+
+
+# An ordered pair of int32 values packs into one int64 as
+# (high << 32) + (low + 2**31).  The bias puts low in [0, 2**32), so the
+# packed keys sort exactly as the (high, low) pairs do, negative values
+# included.
+_PACK_SHIFT = np.int64(32)
+_PACK_BIAS = np.int64(2**31)
+_SIGN_BIT = np.int32(-(2**31))
+
+
+def pack_pairs(out: np.ndarray, high: np.ndarray, low: np.ndarray) -> None:
+    """Fill the int64 array ``out`` with the packed ``(high, low)`` pairs.
+
+    ``high`` must fit in 32 signed bits, so ``out >> 32`` gives it back.
+    """
+    out[:] = high
+    out <<= _PACK_SHIFT
+    out += low
+    out += _PACK_BIAS
+
+
+def unpack_low(packed: np.ndarray, out: np.ndarray) -> None:
+    """Write the ``low`` half of packed pairs into the int32 array ``out``.
+
+    Narrowing keeps the low 32 bits, ``low + 2**31`` modulo ``2**32``;
+    flipping the sign bit takes the bias back off.
+    """
+    np.copyto(out, packed, casting="unsafe")
+    out ^= _SIGN_BIT
+
+
+def sort_segments(values: np.ndarray, offsets: np.ndarray) -> None:
+    """Sort each segment ``values[offsets[i]:offsets[i + 1]]`` in place.
+
+    ``values`` is an int32 column and ``offsets`` its ascending segment
+    bounds, first 0 and last ``len(values)``.  One sort of packed
+    ``(segment, value)`` keys sorts every segment; it holds 16 bytes
+    per value while it runs, so callers pass bounded chunks.
+    """
+    segments = np.repeat(
+        np.arange(offsets.shape[0] - 1, dtype=np.int64), np.diff(offsets)
+    )
+    packed = np.empty(values.shape[0], dtype=np.int64)
+    pack_pairs(packed, segments, values)
+    del segments
+    packed.sort()
+    unpack_low(packed, values)
+
+
+def _concat_ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """``concatenate([arange(s, s + n) for s, n in zip(starts, lengths)])``."""
+    heads = np.cumsum(lengths) - lengths
+    return np.arange(int(lengths.sum()), dtype=np.int64) + np.repeat(
+        starts - heads, lengths
+    )
 
 
 class TypedVector:
@@ -403,6 +465,66 @@ class ColumnIndex:
         if bucket is not None:
             n += len(bucket)
         return n
+
+    def _runs_many(
+        self, keys: np.ndarray, column: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray, List[Sequence[int]]]:
+        """Each key's run ``(starts, stops)`` in key order and tail bucket.
+
+        The many-key twin of :meth:`_run`: one ``searchsorted`` of the
+        keys inside the prefix's range over the run table.  An absent
+        key gets an empty run and an empty bucket.
+        """
+        self.ensure(column)
+        starts = np.zeros(keys.shape[0], dtype=np.int64)
+        stops = np.zeros(keys.shape[0], dtype=np.int64)
+        low, high = self._key_range
+        in_range = (keys >= low) & (keys <= high)
+        if in_range.any():
+            if self._unique is None:
+                self._build_runs(column)
+            wanted = keys[in_range]
+            # the highest key has a run, so every key in range finds a slot
+            slot = self._unique.searchsorted(wanted)
+            hit = self._unique[slot] == wanted
+            starts[in_range] = np.where(hit, self._starts[slot], 0)
+            stops[in_range] = np.where(hit, self._starts[slot + 1], 0)
+        tail_map = self._tail_map
+        buckets = [tail_map.get(key, ()) for key in keys.tolist()]
+        return starts, stops, buckets
+
+    def counts_many(self, keys, column: np.ndarray) -> np.ndarray:
+        """``count(k)`` for every key of ``keys``, as an int64 array."""
+        starts, stops, buckets = self._runs_many(np.asarray(keys, dtype=np.int64), column)
+        return stops - starts + np.fromiter(map(len, buckets), np.int64, len(buckets))
+
+    def positions_many(self, keys, column: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """The stacked positions of many keys, with their segment offsets.
+
+        ``positions[offsets[i]:offsets[i + 1]]`` equals
+        ``positions(keys[i])``: the compiled run, then the tail bucket.
+        The runs are gathered with one vectorised pass and the buckets
+        with another, so the cost is per row, not per key.  Its
+        temporaries hold about 40 bytes per returned row; callers pass
+        bounded batches of keys.
+        """
+        starts, stops, buckets = self._runs_many(np.asarray(keys, dtype=np.int64), column)
+        run_lengths = stops - starts
+        tail_lengths = np.fromiter(map(len, buckets), np.int64, len(buckets))
+        offsets = np.zeros(run_lengths.shape[0] + 1, dtype=np.int64)
+        np.cumsum(run_lengths + tail_lengths, out=offsets[1:])
+        positions = np.empty(int(offsets[-1]), dtype=np.int32)
+        # each key's run fills the head of its segment
+        rows = _concat_ranges(starts, run_lengths)
+        if self._order is not None:
+            rows = self._order[rows]
+        positions[_concat_ranges(offsets[:-1], run_lengths)] = rows
+        # and its tail bucket the rest
+        tail_rows = np.fromiter(
+            chain.from_iterable(buckets), np.int32, int(tail_lengths.sum())
+        )
+        positions[_concat_ranges(offsets[:-1] + run_lengths, tail_lengths)] = tail_rows
+        return positions, offsets
 
 
 def _ascending_prefix(keys: np.ndarray) -> int:

@@ -184,6 +184,22 @@ class LikeLog:
         """Page-id column slice of ``user_id``'s events, arrival order."""
         return self._pages.values()[self.user_event_positions(user_id)]
 
+    def user_page_ids_many(self, user_ids) -> Tuple[np.ndarray, np.ndarray]:
+        """Stacked page-id column slices of many users, with their offsets.
+
+        ``pages[offsets[i]:offsets[i + 1]]`` equals
+        ``user_page_ids_array(user_ids[i])``: one many-key lookup on the
+        user index (:meth:`ColumnIndex.positions_many`) and one gather.
+        """
+        positions, offsets = self._user_index.positions_many(
+            user_ids, self._users.values()
+        )
+        return self._pages.values()[positions], offsets
+
+    def user_event_counts(self, user_ids) -> np.ndarray:
+        """``user_event_count`` of many users, as an int64 array."""
+        return self._user_index.counts_many(user_ids, self._users.values())
+
     def page_event_count(self, page_id: PageId) -> int:
         """Number of like events ever recorded on ``page_id``."""
         return self._page_index.count(int(page_id), self._pages.values())
@@ -271,10 +287,6 @@ class LikeLog:
             self._user_removal_counts[uid] = (
                 self._user_removal_counts.get(uid, 0) + k
             )
-
-    def removals_for_page(self, page_id: PageId) -> List[LikeRemovalEvent]:
-        """All removal events affecting ``page_id``, in arrival order."""
-        return [event for event in self._removals if event.page_id == page_id]
 
     def removals_for_user(self, user_id: UserId) -> List[LikeRemovalEvent]:
         """All removal events affecting ``user_id``'s likes, in arrival order."""

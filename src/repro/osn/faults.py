@@ -37,7 +37,7 @@ Determinism contract
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import ContextManager, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -275,6 +275,10 @@ class FaultyPlatformAPI:
         return result
 
     # -- read endpoints (same interface as PlatformAPI) ---------------------------
+
+    def crawl_scope(self, user_ids: Sequence[UserId]) -> ContextManager[None]:
+        """The inner API's scope; opening it draws and charges nothing."""
+        return self._inner.crawl_scope(user_ids)
 
     def get_profile(self, user_id: UserId) -> Optional[PublicProfile]:
         """Public profile fields, subject to injected faults."""

@@ -23,7 +23,14 @@ from typing import TYPE_CHECKING, Dict, Iterable, Iterator, List, Set, Tuple
 
 import numpy as np
 
-from repro.osn.columns import TypedVector, as_int32, check_int32, sorted_unique
+from repro.osn.columns import (
+    TypedVector,
+    as_int32,
+    check_int32,
+    pack_pairs,
+    sorted_unique,
+    unpack_low,
+)
 from repro.osn.ids import UserId
 from repro.util.validation import ValidationError, require
 
@@ -33,40 +40,18 @@ if TYPE_CHECKING:  # pragma: no cover - networkx loads on first export
 _EMPTY_I32 = np.empty(0, dtype=np.int32)
 _EMPTY_I64 = np.empty(0, dtype=np.int64)
 
-# An ordered pair of int32 endpoints packs into one int64 as
-# (u << 32) + (v + 2**31).  The bias puts v in [0, 2**32), so the packed
-# keys sort exactly as the (u, v) pairs do, negative ids included, and
-# one int64 sort serves both the edge dedup and the CSR build.
+# Edges sort as packed (u, v) int64 keys (columns.pack_pairs), so one
+# int64 sort serves both the edge dedup and the CSR build.
 _PACK_SHIFT = np.int64(32)
-_PACK_BIAS = np.int64(2**31)
-_SIGN_BIT = np.int32(-(2**31))
-
-
-def _pack(out: np.ndarray, u: np.ndarray, v: np.ndarray) -> None:
-    """Fill the int64 array ``out`` with the packed ``(u, v)`` pairs."""
-    out[:] = u
-    out <<= _PACK_SHIFT
-    out += v
-    out += _PACK_BIAS
-
-
-def _unpack_low(packed: np.ndarray, out: np.ndarray) -> None:
-    """Write the ``v`` half of packed pairs into the int32 array ``out``.
-
-    Narrowing keeps the low 32 bits, ``v + 2**31`` modulo ``2**32``;
-    flipping the sign bit takes the bias back off.
-    """
-    np.copyto(out, packed, casting="unsafe")
-    out ^= _SIGN_BIT
 
 
 def _dedup_pairs(a: np.ndarray, b: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """The distinct undirected edges among ``(a, b)``, as sorted (lo, hi) arrays."""
     packed = np.empty(a.shape[0], dtype=np.int64)
-    _pack(packed, np.minimum(a, b), np.maximum(a, b))
+    pack_pairs(packed, np.minimum(a, b), np.maximum(a, b))
     packed = sorted_unique(packed)
     pair_hi = np.empty(packed.shape[0], dtype=np.int32)
-    _unpack_low(packed, pair_hi)
+    unpack_low(packed, pair_hi)
     packed >>= _PACK_SHIFT
     return packed.astype(np.int32), pair_hi
 
@@ -84,10 +69,10 @@ def _csr_neighbors(
     m = pair_lo.shape[0]
     neighbors = np.empty(2 * m, dtype=np.int32)
     packed = np.empty(2 * m, dtype=np.int64)
-    _pack(packed[:m], pair_lo, pair_hi)
-    _pack(packed[m:], pair_hi, pair_lo)
+    pack_pairs(packed[:m], pair_lo, pair_hi)
+    pack_pairs(packed[m:], pair_hi, pair_lo)
     packed.sort()
-    _unpack_low(packed, neighbors)
+    unpack_low(packed, neighbors)
     packed >>= _PACK_SHIFT
     return packed, neighbors
 
@@ -239,6 +224,10 @@ class FriendshipGraph:
             (int(user_id), len(self._explicit_nodes), len(self._edge_a))
         )
 
+    def write_marks(self) -> Tuple[int, int, int]:
+        """Rows written so far: edges, nodes and removals (each only grows)."""
+        return len(self._edge_a), len(self._explicit_nodes), len(self._removals)
+
     # -- queries ------------------------------------------------------------------
 
     def __contains__(self, user_id: UserId) -> bool:
@@ -261,6 +250,28 @@ class FriendshipGraph:
         """The friends of ``user_id`` as a fresh ascending int32 array."""
         self._compile()
         return self._compiled_neighbors(int(user_id)).copy()
+
+    def neighbor_slices(
+        self, user_ids: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The compiled neighbor column and each user's slice of it.
+
+        ``neighbors[starts[i]:stops[i]]`` are the friends of
+        ``user_ids[i]``, ascending; an unknown user gets an empty slice.
+        One ``searchsorted`` finds every slice.  The column is the
+        graph's own and the next compile replaces it, so callers copy
+        what they keep.
+        """
+        self._compile()
+        nodes = self._c_nodes
+        starts = np.zeros(user_ids.shape[0], dtype=np.int64)
+        stops = np.zeros(user_ids.shape[0], dtype=np.int64)
+        slot = nodes.searchsorted(user_ids)
+        known = slot < nodes.shape[0]
+        known[known] = nodes[slot[known]] == user_ids[known]
+        starts[known] = self._c_off_lo[slot[known]]
+        stops[known] = self._c_off_hi[slot[known]]
+        return self._c_neighbors, starts, stops
 
     def neighbors(self, user_id: UserId) -> Set[UserId]:
         """The friend set of ``user_id`` (empty for unknown users)."""

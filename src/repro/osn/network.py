@@ -233,8 +233,12 @@ class SocialNetwork:
 
         This is the number a crawler reading a public friend list would
         count; see :attr:`repro.osn.profile.UserProfile.background_friend_count`.
+        A one-user :class:`~repro.osn.profileread.ProfileRead`.
         """
-        return self.graph.degree(user_id) + self.user(user_id).background_friend_count
+        from repro.osn.profileread import ProfileRead  # the read takes a network
+
+        self.profiles.row_of(user_id)  # KeyError for an unknown id
+        return ProfileRead(self, [user_id]).declared_friend_count(0)
 
     # -- likes --------------------------------------------------------------------
 
@@ -398,20 +402,6 @@ class SocialNetwork:
         # repro-lint: allow-DET003 defensive copy; PlatformAPI.get_page_likes sorts before serializing
         return {page_id for page_id, count in liked.items() if count > 0}
 
-    def user_liked_page_ids_sorted(self, user_id: UserId) -> np.ndarray:
-        """Ascending int32 page-id array of ``user_id``'s current likes.
-
-        What :meth:`repro.osn.api.PlatformAPI.get_page_likes` returns;
-        equal to ``sorted(user_liked_page_ids(...))`` but skips the set
-        materialisation when the user has no removals (the common case:
-        one ``np.sort`` over the user's page-id column slice).  The array
-        is freshly allocated, never a view of the like log.
-        """
-        require(self.has_user(user_id), f"unknown user {user_id}")
-        if self.likes.user_removal_count(user_id) == 0:
-            return np.sort(self.likes.user_page_ids_array(user_id))
-        return np.array(sorted(self.user_liked_page_ids(user_id)), dtype=np.int32)
-
     def user_like_count(self, user_id: UserId) -> int:
         """How many pages ``user_id`` likes inside the simulated universe."""
         require(self.has_user(user_id), f"unknown user {user_id}")
@@ -424,8 +414,12 @@ class SocialNetwork:
 
         This is the total a crawler reading the profile's like list reports;
         see :attr:`repro.osn.profile.UserProfile.background_like_count`.
+        A one-user :class:`~repro.osn.profileread.ProfileRead`.
         """
-        return self.user_like_count(user_id) + self.user(user_id).background_like_count
+        from repro.osn.profileread import ProfileRead  # the read takes a network
+
+        self.profiles.row_of(user_id)  # KeyError for an unknown id
+        return ProfileRead(self, [user_id]).declared_like_count(0)
 
     def remove_like(self, user_id: UserId, page_id: PageId, time: int) -> bool:
         """Remove a like from a page's *current* liker list.
@@ -445,6 +439,20 @@ class SocialNetwork:
             LikeRemovalEvent(user_id=user_id, page_id=page_id, time=time)
         )
         return True
+
+    def write_marks(self) -> Tuple[int, ...]:
+        """Counts that every write to users, likes or friendships advances.
+
+        Like events, like removals, the graph's edge, node and removal
+        rows (a termination appends a removal row) and accounts; equal
+        marks mean none of those changed in between.
+        """
+        return (
+            len(self.likes),
+            self.likes.removal_count,
+            *self.graph.write_marks(),
+            self.profiles.count,
+        )
 
     # -- enforcement --------------------------------------------------------------
 

@@ -20,18 +20,25 @@ copies; nothing in this module hands out a mutable alias of a column.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional
+from typing import Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
 from repro.osn.columns import StringInterner, TypedVector
 from repro.osn.ids import UserId
-from repro.osn.profile import _BRACKET_BOUNDS, COHORT_ORGANIC, Gender, ProfileProperties
+from repro.osn.profile import (
+    _BRACKET_BOUNDS,
+    AGE_BRACKETS,
+    COHORT_ORGANIC,
+    Gender,
+    ProfileProperties,
+)
 from repro.util.validation import require
 
 __all__ = ["ProfileStore", "ProfileView"]
 
 _GENDER_BY_CODE = (Gender.FEMALE, Gender.MALE)
+_GENDER_VALUES = tuple(gender.value for gender in _GENDER_BY_CODE)
 _ALIVE = -1  # terminated_at sentinel
 _BRACKET_LOWS = np.array([low for low, _ in _BRACKET_BOUNDS], dtype=np.int16)
 
@@ -315,9 +322,10 @@ class ProfileStore:
     def ages(self) -> np.ndarray:
         return self._age.values()
 
-    def age_bracket_indices(self) -> np.ndarray:
-        """Each row's index into ``AGE_BRACKETS`` (a fresh array)."""
-        return np.searchsorted(_BRACKET_LOWS, self._age.values(), side="right") - 1
+    def age_bracket_indices(self, rows=slice(None)) -> np.ndarray:
+        """The index into ``AGE_BRACKETS`` of each of ``rows`` (default:
+        every row), as a fresh array."""
+        return np.searchsorted(_BRACKET_LOWS, self._age.values()[rows], side="right") - 1
 
     def gender_codes(self) -> np.ndarray:
         return self._gender.values()
@@ -345,6 +353,23 @@ class ProfileStore:
 
     def background_like_counts(self) -> np.ndarray:
         return self._background_likes.values()
+
+    def demographics(self, user_ids) -> Tuple[List[str], List[str], List[str]]:
+        """Each user's gender value, age bracket and country, as lists.
+
+        What the page-insights reports and a public profile show, read
+        from the columns in one pass; ``KeyError`` for an unknown id.
+        """
+        rows = np.asarray(user_ids, dtype=np.int64) - self.id_base
+        unknown = (rows < 0) | (rows >= len(self._gender))
+        if unknown.any():
+            raise KeyError(int(rows[unknown][0]) + self.id_base)
+        value = self.strings.value
+        return (
+            [_GENDER_VALUES[code] for code in self._gender.values()[rows].tolist()],
+            [AGE_BRACKETS[index] for index in self.age_bracket_indices(rows).tolist()],
+            [value(code) for code in self._country.values()[rows].tolist()],
+        )
 
     def is_terminated(self, user_id: int) -> bool:
         # direct backing-array read, same rationale as the ProfileView

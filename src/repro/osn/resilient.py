@@ -27,7 +27,7 @@ retries, so a fault-free run consumes no randomness here at all.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional, TypeVar
+from typing import Callable, ContextManager, Dict, Optional, Sequence, TypeVar
 
 import numpy as np
 
@@ -294,6 +294,10 @@ class ResilientAPI:
         )
 
     # -- read endpoints (same interface as PlatformAPI) ---------------------------
+
+    def crawl_scope(self, user_ids: Sequence[UserId]) -> ContextManager[None]:
+        """The inner API's scope; opening it touches no breaker or stream."""
+        return self._inner.crawl_scope(user_ids)
 
     def get_profile(self, user_id: UserId) -> Optional[PublicProfile]:
         """Public profile fields, with retries."""

@@ -171,6 +171,13 @@ class TestGracefulDegradation:
     def test_insights_accessor_is_the_ground_truth_exemption(self, net):
         user = make_user(net)
         crawler = ProfileCrawler(net)
-        profile = crawler.insights_profile(user.user_id)
-        assert profile.country == "US"
-        assert profile.gender is Gender.FEMALE
+        genders, brackets, countries = crawler.insights_demographics([user.user_id])
+        assert countries == ["US"]
+        assert genders == [Gender.FEMALE.value]
+        assert brackets == ["18-24"]
+        # a private, terminated account keeps its insights demographics
+        hidden = make_user(net, public=False, gender=Gender.MALE, age=40, country="IN")
+        net.terminate_account(hidden.user_id, time=5)
+        assert crawler.insights_demographics([hidden.user_id]) == (["M"], ["35-44"], ["IN"])
+        with pytest.raises(KeyError):
+            crawler.insights_demographics([424242])

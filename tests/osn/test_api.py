@@ -139,7 +139,21 @@ class TestBudgetAndStats:
 
     def test_study_reports_crawl_volume(self, small_artifacts):
         stats = small_artifacts.api.stats
-        # monitors polled pages for weeks; crawler touched every liker
+        dataset = small_artifacts.dataset
+        likers = len(dataset.likers)
+        # one charge per call: the liker crawl reads a friend list, a
+        # friend count, a like list and a like count per liker, the
+        # baseline one like count per sampled user, the recheck one
+        # profile per distinct observed liker of each campaign, and the
+        # monitors one page per snapshot or missed poll
+        assert stats.friend_list == 2 * likers
+        assert stats.page_likes == 2 * likers + len(dataset.baseline)
+        assert stats.profile == sum(
+            len(set(record.liker_ids)) for record in dataset.campaigns.values()
+        )
+        assert stats.page == sum(
+            len(monitor.snapshots) + monitor.missed_polls
+            for monitor in small_artifacts.monitors.values()
+        )
         assert stats.page > 500
-        assert stats.friend_list >= len(small_artifacts.dataset.likers)
         assert stats.total > 1000

@@ -470,11 +470,11 @@ class TestLikePagesFreshMany:
         [
             pytest.param([3, 0], [1, 1], 2, None, id="three-users-two-counts"),
             pytest.param([3, 0, 1], [1, 1, 2], 2, None, id="counts-sum-past-pages"),
-            pytest.param([3, 0, 1], [1, 1, 0], 2, None, id="counts-sum-short-of-pages"),
+            pytest.param([3, 0, 1], [1, 1, 0], 2, None, id="short-counts-sum"),
             pytest.param([3, 0, 1], [2, -1, 2], 2, None, id="negative-count"),
             pytest.param([3, 424242, 1], [1, 1, 1], 2, None, id="unknown-page"),
             pytest.param([3, 0, 1], [1, 1, 1], -1, None, id="time-below-zero"),
-            pytest.param([3, 0, 1], [1, 1, 1], 2**31, None, id="time-past-int32"),
+            pytest.param([3, 0, 1], [1, 1, 1], 2**31, None, id="int32-overflow-time"),
             pytest.param([3, 0, 1], [1, 1, 1], 2, "unknown", id="user-unknown"),
             pytest.param([3, 0, 1], [1, 1, 1], 2, "terminated", id="terminated-user"),
         ],

@@ -415,7 +415,7 @@ def swept_world(seed: int):
     )
     rng = RngStream(seed, "sweep")
     terminated = TerminationSweep(policy).run(network, pages, rng, time=70_000)
-    removals = [network.likes.removals_for_page(page) for page in pages]
+    removals = [network.likes.removal_records_for_page(page) for page in pages]
     return terminated, removals, network_state(network), rng_state(rng)
 
 

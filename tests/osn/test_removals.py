@@ -37,7 +37,7 @@ class TestRemoveLike:
     def test_removal_event_recorded(self, world):
         net, page, users = world
         net.remove_like(users[0].user_id, page.page_id, time=1000)
-        removals = net.likes.removals_for_page(page.page_id)
+        removals = [event for _, event in net.likes.removal_records_for_page(page.page_id)]
         assert len(removals) == 1
         assert removals[0].user_id == users[0].user_id
         assert removals[0].time == 1000
@@ -60,7 +60,7 @@ class TestTerminationPurge:
         net, page, users = world
         net.terminate_account(users[0].user_id, time=500, purge_likes=True)
         assert net.page_like_count(page.page_id) == 4
-        assert len(net.likes.removals_for_page(page.page_id)) == 1
+        assert len(net.likes.removal_records_for_page(page.page_id)) == 1
 
     def test_no_purge_keeps_likes(self, world):
         net, page, users = world
@@ -72,7 +72,7 @@ class TestTerminationPurge:
         policy = TerminationPolicy(base_rates={"farm:X": 1.0}, purge_likes=True)
         TerminationSweep(policy).run(net, [page.page_id], RngStream(1), time=10_000)
         assert net.page_like_count(page.page_id) == 0
-        assert len(net.likes.removals_for_page(page.page_id)) == 5
+        assert len(net.likes.removal_records_for_page(page.page_id)) == 5
 
     def test_sweep_respects_purge_off(self, world):
         net, page, _ = world

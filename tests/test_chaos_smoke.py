@@ -9,10 +9,14 @@ Two contracts pinned here (the acceptance gate of the fault subsystem):
 2. **Chaos survival** — under the default nonzero `FaultProfile`, the
    seeded small study completes end-to-end, every campaign record is
    present, and the injected failures are visible in the `RequestStats`
-   counters.
+   counters.  Its JSONL export and request accounting are pinned across
+   commits (``CHAOS_GOLDEN``, ``CHAOS_STATS``), so a change that shifts
+   a fault draw, a retry or a truncated prefix shows here.
 
 Run directly via ``make chaos``.
 """
+
+import hashlib
 
 import pytest
 
@@ -20,6 +24,26 @@ from repro.honeypot.study import HoneypotStudy, StudyConfig
 from repro.osn.faults import FaultProfile
 
 SEED = 20140312
+
+#: sha256 of the chaos study's JSONL export and its request accounting,
+#: recorded before the crawl loops moved into crawl scopes; any shifted
+#: fault draw, retry or truncated prefix changes one of them.
+CHAOS_GOLDEN = "2d6ed06ee1dc96ac21f08c3453bfa57a17928580f12ae4d7837273c5648ddaa0"
+CHAOS_STATS = {
+    "profile": 663,
+    "friend_list": 1259,
+    "page_likes": 1732,
+    "page": 1811,
+    "transient_errors": 342,
+    "rate_limited": 117,
+    "timeouts": 115,
+    "truncated": 76,
+    "retries": 639,
+    "failures": 11,
+    "breaker_trips": 0,
+    "breaker_fastfails": 0,
+    "backoff_minutes": 2297.429878703716,
+}
 
 
 @pytest.fixture(scope="module")
@@ -121,3 +145,9 @@ class TestChaosSurvival:
         assert first.api.stats == second.api.stats
         assert first.dataset.total_likes == second.dataset.total_likes
         assert set(first.dataset.likers) == set(second.dataset.likers)
+
+    def test_chaos_export_and_accounting_are_pinned(self, chaos_artifacts, tmp_path):
+        path = tmp_path / "chaos.jsonl"
+        chaos_artifacts.dataset.to_jsonl(path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == CHAOS_GOLDEN
+        assert chaos_artifacts.api.stats.as_dict() == CHAOS_STATS
