@@ -23,11 +23,11 @@ import numpy as np
 
 from repro.ads.campaign import AdCampaign
 from repro.ads.clickworkers import ClickWorkerPopulation
-from repro.ads.costmodel import CostModel
+from repro.ads.costmodel import CostModel, CountryMarket
 from repro.obs.metrics import NULL_METRICS, MetricsRegistry
 from repro.osn.ids import UserId
 from repro.osn.network import SocialNetwork
-from repro.osn.profile import AGE_BRACKETS
+from repro.osn.profile import AGE_BRACKETS, COHORT_CLICKWORKER
 from repro.sim.engine import EventEngine
 from repro.util.distributions import Categorical
 from repro.util.rng import RngStream
@@ -114,21 +114,23 @@ class AdDeliveryEngine:
         rng = self._rng.child(f"campaign/{self._campaign_counter}")
         shares = self._cost_model.budget_shares(campaign.targeting)
         self._presize_pools(campaign, shares)
+        # One handler and one label per market serve every click there:
+        # a click carries no state of its own but its time.
+        markets = []
+        for country, share in shares.items():
+            market = self._cost_model.market(country)
+            handler = self._click_handler(campaign, country, market, rng)
+            expected_clicks = share * campaign.daily_budget / market.cpc
+            markets.append((expected_clicks, handler, f"ad-click:{country}"))
         scheduled = 0
         for day in range(campaign.duration_days):
             day_start = campaign.start_time + day * DAY
-            for country, share in shares.items():
-                market = self._cost_model.market(country)
-                expected_clicks = share * campaign.daily_budget / market.cpc
+            for expected_clicks, handler, label in markets:
                 n_clicks = rng.poisson(expected_clicks)
                 scheduled += n_clicks
                 for _ in range(n_clicks):
                     time = day_start + self._sample_minute_of_day(rng)
-                    engine.schedule(
-                        time,
-                        self._click_handler(campaign, country, rng),
-                        label=f"ad-click:{country}",
-                    )
+                    engine.schedule(time, handler, label=label)
         self.metrics.inc("ads.campaigns_launched")
         self.metrics.inc("ads.clicks_scheduled", scheduled)
         self.metrics.trace_event(
@@ -161,26 +163,35 @@ class AdDeliveryEngine:
                 targets[country] = max(target, 1)
         self._clickworkers.ensure_pools(targets)
 
-    def _click_handler(self, campaign: AdCampaign, country: str, rng: RngStream):
+    def _click_handler(
+        self, campaign: AdCampaign, country: str, market: CountryMarket, rng: RngStream
+    ):
+        """The handler for every click of ``campaign`` in ``country``.
+
+        It draws nothing when built, and reads the clicker's termination
+        and cohort from the profile columns, not from a profile view.
+        """
         metrics = self.metrics
+        profiles = self._network.profiles
+        cpc = market.cpc
+        spend_microusd = round(cpc * 1_000_000)
 
         def handle(time: int) -> None:
-            market = self._cost_model.market(country)
-            if campaign.spend + market.cpc > campaign.total_budget:
+            if campaign.spend + cpc > campaign.total_budget:
                 metrics.inc("ads.clicks_budget_capped")
                 return  # daily pacing already bounds spend; this is the hard cap
-            campaign.record_click(market.cpc)
+            campaign.record_click(cpc)
             metrics.inc("ads.clicks")
-            metrics.inc("ads.spend_microusd", round(market.cpc * 1_000_000))
+            metrics.inc("ads.spend_microusd", spend_microusd)
             clicker = self._pick_clicker(country, market.clickworker_share, rng)
             if clicker is None:
                 return
-            profile = self._network.user(clicker)
-            if profile.is_terminated:
+            if profiles.is_terminated(clicker):
                 return
+            clickworker = profiles.cohort_code_of(COHORT_CLICKWORKER)
             like_rate = (
                 self.config.clickworker_like_rate
-                if profile.cohort == "clickworker"
+                if profiles.cohort_code(clicker) == clickworker
                 else self.config.organic_like_rate
             )
             if rng.bernoulli(like_rate):

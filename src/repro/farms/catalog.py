@@ -216,11 +216,13 @@ class LikeFarmService:
         )
         order.scheduled_likes = len(plan)
         order.status = OrderStatus.DELIVERING
+        delivered_key = f"farms.likes_delivered.{brand}"
+        label = f"farm-like:{self.name}"
         for time, account in plan:
             engine.schedule(
                 max(time, placed_at),
-                self._delivery_handler(order, account),
-                label=f"farm-like:{self.name}",
+                self._delivery_handler(order, account, delivered_key),
+                label=label,
             )
         metrics = self.metrics
         metrics.inc(f"farms.orders_placed.{brand}")
@@ -244,16 +246,17 @@ class LikeFarmService:
         )
         return order
 
-    def _delivery_handler(self, order: FarmOrder, account) :
+    def _delivery_handler(self, order: FarmOrder, account, delivered_key: str):
+        """One account's like for ``order``; termination is a column read."""
         metrics = self.metrics
-        brand = _brand_slug(self.name)
+        network = self._network
 
         def deliver(time: int) -> None:
-            if self._network.user(account).is_terminated:
+            if network.profiles.is_terminated(account):
                 return
-            if self._network.like_page(account, order.page_id, time):
+            if network.like_page(account, order.page_id, time):
                 order.record_delivery()
-                metrics.inc(f"farms.likes_delivered.{brand}")
+                metrics.inc(delivered_key)
 
         return deliver
 

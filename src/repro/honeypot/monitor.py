@@ -83,6 +83,9 @@ class PageMonitor:
         self.snapshots: List[MonitorSnapshot] = []
         self.poll_gaps: List[int] = []  # times of polls lost to crawl faults
         self._seen: Set[UserId] = set()
+        # The last successful poll's liker list: when it is a prefix of
+        # the next one, only the ids after it can be new.
+        self._scanned: tuple = ()
         self._last_new_like_time = start
         # repro-lint: allow-CKPT002 scheduling machinery, not observation state: rebuilt by attach()+deterministic replay; the pending poll lives in the engine queue, covered by the engine's own state_dict
         self._process: Optional[RecurringProcess] = None
@@ -184,6 +187,7 @@ class PageMonitor:
         self._seen = set()
         for snapshot in self.snapshots:
             self._seen.update(snapshot.new_liker_ids)
+        self._scanned = ()
 
     # -- internals ----------------------------------------------------------------
 
@@ -204,8 +208,17 @@ class PageMonitor:
                 "poll_gap", time=time, page_id=int(self.page_id)
             )
             return
-        new = tuple(u for u in page.liker_ids if u not in self._seen)
-        self._seen.update(new)
+        likers = page.liker_ids
+        scanned = self._scanned
+        if scanned and likers[: len(scanned)] == scanned:
+            # Every id of the earlier list is in _seen already.  A
+            # truncated page or a removal breaks the prefix, and then
+            # the whole list is scanned.
+            likers = likers[len(scanned) :]
+        self._scanned = page.liker_ids
+        seen = self._seen
+        new = tuple(u for u in likers if u not in seen)
+        seen.update(new)
         if new:
             self._last_new_like_time = time
         snapshot = MonitorSnapshot(

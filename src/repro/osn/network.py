@@ -310,12 +310,12 @@ class SocialNetwork:
         page (likes are idempotent, as on the platform).  Terminated accounts
         cannot like.
         """
-        require(self.has_user(user_id), f"unknown user {user_id}")
-        require(page_id in self._pages, f"unknown page {page_id}")
-        require(
-            not self.profiles.is_terminated(user_id),
-            f"terminated user {user_id} cannot like",
-        )
+        if not self.has_user(user_id):
+            raise ValidationError(f"unknown user {user_id}")
+        if page_id not in self._pages:
+            raise ValidationError(f"unknown page {page_id}")
+        if self.profiles.is_terminated(user_id):
+            raise ValidationError(f"terminated user {user_id} cannot like")
         likers = self._liker_set(page_id)
         if user_id in likers:
             return False
@@ -379,7 +379,8 @@ class SocialNetwork:
         The paper observed likes as they arrived and later noted which liker
         accounts had been terminated, so the historical record is preserved.
         """
-        require(page_id in self._pages, f"unknown page {page_id}")
+        if page_id not in self._pages:
+            raise ValidationError(f"unknown page {page_id}")
         return self._current_likers(page_id)
 
     def page_like_count(self, page_id: PageId) -> int:

@@ -376,6 +376,10 @@ class ProfileStore:
         # accessors: this sits on the scalar like/friendship hot paths
         return self._terminated_at._data[self.row_of(user_id)] != _ALIVE
 
+    def cohort_code(self, user_id: int) -> int:
+        """The interned cohort code of ``user_id`` (KeyError if unknown)."""
+        return int(self._cohort._data[self.row_of(user_id)])
+
     def cohort_code_of(self, cohort: str) -> Optional[int]:
         """The interned code for ``cohort`` if any row ever used it."""
         return self.strings.lookup(cohort)

@@ -7,7 +7,7 @@ milliseconds while preserving exact event ordering.
 """
 
 from repro.sim.clock import SimClock
-from repro.sim.engine import EventEngine, ScheduledEvent
+from repro.sim.engine import EventEngine
 from repro.sim.process import RecurringProcess
 
-__all__ = ["EventEngine", "RecurringProcess", "ScheduledEvent", "SimClock"]
+__all__ = ["EventEngine", "RecurringProcess", "SimClock"]

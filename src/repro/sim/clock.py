@@ -8,7 +8,7 @@ is the sole writer in a running experiment.
 from __future__ import annotations
 
 from repro.util.timeutil import format_time
-from repro.util.validation import require
+from repro.util.validation import ValidationError, require
 
 
 class SimClock:
@@ -36,10 +36,10 @@ class SimClock:
 
         Raises if ``time`` is in the past: the simulation never rewinds.
         """
-        require(
-            time >= self._now,
-            f"clock cannot move backwards ({format_time(self._now)} -> {time})",
-        )
+        if not time >= self._now:
+            raise ValidationError(
+                f"clock cannot move backwards ({format_time(self._now)} -> {time})"
+            )
         self._now = time
 
     # -- checkpoint support -------------------------------------------------------

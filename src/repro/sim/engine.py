@@ -1,39 +1,29 @@
 """Deterministic discrete-event engine.
 
-The queue is a binary heap of ``(time, sequence, event)`` tuples.  The
-sequence number breaks ties so that two events scheduled for the same minute
-always fire in scheduling order — determinism matters because callbacks draw
-from seeded RNG streams.  Sequences are unique, so the heap compares tuples
-in C and never reaches the event itself.
+The queue is a binary heap of ``(time, sequence, callback, label)``
+tuples, and a tuple is all an event is.  The sequence number breaks ties
+so that two events scheduled for the same minute always fire in
+scheduling order — determinism matters because callbacks draw from
+seeded RNG streams.  Sequences are unique, so the heap compares tuples in
+C and never reaches the callback.  :meth:`EventEngine.schedule` returns
+the sequence, and the sequence is the handle :meth:`EventEngine.cancel`
+takes.
 """
 
 from __future__ import annotations
 
 import heapq
 import time as _walltime
-from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, List, Optional, Set, Tuple
 
 from repro.obs.metrics import NULL_METRICS, MetricsRegistry
 from repro.sim.clock import SimClock
-from repro.util.validation import require
+from repro.util.validation import ValidationError, require
 
 EventCallback = Callable[[int], None]
 
-
-@dataclass(slots=True)
-class ScheduledEvent:
-    """A pending event in the engine's queue."""
-
-    time: int
-    sequence: int
-    callback: EventCallback = field(compare=False)
-    label: str = field(compare=False, default="")
-    cancelled: bool = field(compare=False, default=False)
-
-    def cancel(self) -> None:
-        """Mark the event so the engine skips it when its time comes."""
-        self.cancelled = True
+#: One queued event: ``(time, sequence, callback, label)``.
+Event = Tuple[int, int, EventCallback, str]
 
 
 class EventEngine:
@@ -54,7 +44,9 @@ class EventEngine:
     ) -> None:
         self.clock = clock if clock is not None else SimClock()
         self.metrics = metrics if metrics is not None else NULL_METRICS
-        self._queue: List[Tuple[int, int, ScheduledEvent]] = []
+        self._queue: List[Event] = []
+        # repro-lint: allow-CKPT002 replay-derived like the queue it marks: deterministic replay cancels the same sequences again, and the snapshot's queue signature already leaves them out
+        self._cancelled: Set[int] = set()  # queued sequences to skip
         self._sequence = 0
         self._fired = 0
         self._skipped_cancelled = 0
@@ -62,31 +54,42 @@ class EventEngine:
     @property
     def pending(self) -> int:
         """Number of not-yet-fired, not-cancelled events."""
-        return sum(1 for _, _, event in self._queue if not event.cancelled)
+        return len(self._queue) - len(self._cancelled)
 
     @property
     def fired(self) -> int:
         """Number of events executed so far."""
         return self._fired
 
-    def schedule(self, time: int, callback: EventCallback, label: str = "") -> ScheduledEvent:
-        """Schedule ``callback(time)`` to fire at ``time``.
+    def schedule(self, time: int, callback: EventCallback, label: str = "") -> int:
+        """Schedule ``callback(time)`` to fire at ``time``; returns its sequence.
 
         ``time`` must not be in the clock's past.
         """
-        require(
-            time >= self.clock.now,
-            f"cannot schedule event at {time} before current time {self.clock.now}",
-        )
-        event = ScheduledEvent(time=time, sequence=self._sequence, callback=callback, label=label)
-        self._sequence += 1
-        heapq.heappush(self._queue, (time, event.sequence, event))
-        return event
+        if not time >= self.clock.now:
+            raise ValidationError(
+                f"cannot schedule event at {time} before current time {self.clock.now}"
+            )
+        sequence = self._sequence
+        self._sequence = sequence + 1
+        heapq.heappush(self._queue, (time, sequence, callback, label))
+        return sequence
 
-    def schedule_after(self, delay: int, callback: EventCallback, label: str = "") -> ScheduledEvent:
+    def schedule_after(self, delay: int, callback: EventCallback, label: str = "") -> int:
         """Schedule ``callback`` ``delay`` minutes from now."""
         require(delay >= 0, "delay must be >= 0")
         return self.schedule(self.clock.now + delay, callback, label=label)
+
+    def cancel(self, sequence: int) -> None:
+        """Skip the queued event ``sequence`` when its time comes.
+
+        A sequence that already fired, was never scheduled or is already
+        cancelled is left alone.  Cancels are rare (a stopped process),
+        so finding the event scans the queue rather than indexing it on
+        every schedule.
+        """
+        if any(queued[1] == sequence for queued in self._queue):
+            self._cancelled.add(sequence)
 
     def run_until(self, end_time: int) -> None:
         """Fire every event with ``time <= end_time``, then advance the clock.
@@ -96,29 +99,31 @@ class EventEngine:
         """
         require(end_time >= self.clock.now, "end_time must be >= current time")
         started = _walltime.perf_counter()
-        while self._queue and self._queue[0][0] <= end_time:
-            _, _, event = heapq.heappop(self._queue)
-            if event.cancelled:
-                self._skipped_cancelled += 1
-                continue
-            self.clock.advance_to(event.time)
-            self._fired += 1
-            event.callback(event.time)
+        self._dispatch(end_time)
         self.clock.advance_to(end_time)
         self._flush_metrics(started)
 
     def run(self) -> None:
-        """Fire all remaining events in order."""
+        """Fire all remaining events in order; the clock stays at the last one."""
         started = _walltime.perf_counter()
-        while self._queue:
-            _, _, event = heapq.heappop(self._queue)
-            if event.cancelled:
+        self._dispatch(float("inf"))
+        self._flush_metrics(started)
+
+    def _dispatch(self, end_time: float) -> None:
+        """The one dispatch loop: fire queued events up to ``end_time``."""
+        queue = self._queue
+        cancelled = self._cancelled
+        advance_to = self.clock.advance_to
+        pop = heapq.heappop
+        while queue and queue[0][0] <= end_time:
+            time, sequence, callback, _ = pop(queue)
+            if sequence in cancelled:
+                cancelled.remove(sequence)
                 self._skipped_cancelled += 1
                 continue
-            self.clock.advance_to(event.time)
+            advance_to(time)
             self._fired += 1
-            event.callback(event.time)
-        self._flush_metrics(started)
+            callback(time)
 
     # -- checkpoint support -------------------------------------------------------
 
@@ -129,10 +134,11 @@ class EventEngine:
         what a checkpoint *can* capture — enough to verify that a rebuilt
         engine carries exactly the same pending work.
         """
+        cancelled = self._cancelled
         return sorted(
-            [event.time, event.sequence, event.label]
-            for _, _, event in self._queue
-            if not event.cancelled
+            [time, sequence, label]
+            for time, sequence, _, label in self._queue
+            if sequence not in cancelled
         )
 
     def state_dict(self) -> dict:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Callable, Optional
 
-from repro.sim.engine import EventEngine, ScheduledEvent
+from repro.sim.engine import EventEngine
 from repro.util.validation import require
 
 #: Decide the next interval (minutes) after a tick at ``time``; ``None`` stops.
@@ -42,7 +42,7 @@ class RecurringProcess:
         self._action = action
         self._interval_policy = interval_policy
         self._label = label
-        self._current: Optional[ScheduledEvent] = None
+        self._current: Optional[int] = None  # the pending tick's sequence
         self._stopped = False
         self.tick_count = 0
 
@@ -59,7 +59,7 @@ class RecurringProcess:
     def stop(self) -> None:
         """Cancel any pending tick and stop the process."""
         if self._current is not None:
-            self._current.cancel()
+            self._engine.cancel(self._current)
             self._current = None
         self._stopped = True
 
@@ -69,6 +69,8 @@ class RecurringProcess:
             return
         self.tick_count += 1
         self._action(time)
+        if self._stopped:  # the action stopped the process
+            return
         interval = self._interval_policy(time)
         if interval is None:
             self._stopped = True

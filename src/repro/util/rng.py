@@ -15,7 +15,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from repro.util.validation import require
+from repro.util.validation import ValidationError, require
 
 _SEED_BYTES = 8
 
@@ -120,7 +120,8 @@ class RngStream:
 
     def randint(self, low: int, high: int) -> int:
         """A uniform integer in [low, high) (numpy ``integers`` semantics)."""
-        require(high > low, f"randint requires high > low, got [{low}, {high})")
+        if not high > low:
+            raise ValidationError(f"randint requires high > low, got [{low}, {high})")
         return int(self._generator.integers(low, high))
 
     def normal(self, mean: float, std: float) -> float:
@@ -133,7 +134,8 @@ class RngStream:
 
     def bernoulli(self, p: float) -> bool:
         """True with probability ``p``."""
-        require(0.0 <= p <= 1.0, f"bernoulli p must be in [0,1], got {p}")
+        if not 0.0 <= p <= 1.0:
+            raise ValidationError(f"bernoulli p must be in [0,1], got {p}")
         return bool(self._generator.random() < p)
 
     def bernoulli_many(self, p: float, n: int) -> np.ndarray:

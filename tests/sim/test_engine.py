@@ -90,7 +90,7 @@ class TestEventEngine:
         engine = EventEngine()
         fired = []
         event = engine.schedule(10, fired.append)
-        event.cancel()
+        engine.cancel(event)
         engine.run()
         assert fired == []
         assert engine.fired == 0
@@ -99,7 +99,7 @@ class TestEventEngine:
         engine = EventEngine()
         keep = engine.schedule(10, lambda t: None)
         drop = engine.schedule(20, lambda t: None)
-        drop.cancel()
+        engine.cancel(drop)
         assert engine.pending == 1
         del keep
 
@@ -170,7 +170,7 @@ class TestStateDict:
         keep = engine.schedule(10, lambda t: None)
         drop = engine.schedule(20, lambda t: None)
         signature_with = engine.queue_signature()
-        drop.cancel()
+        engine.cancel(drop)
         assert engine.queue_signature() != signature_with
         assert len(engine.queue_signature()) == 1
         del keep

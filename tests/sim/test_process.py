@@ -68,3 +68,23 @@ class TestRecurringProcess:
         proc.start(at=42)
         engine.run()
         assert ticks == [42]
+
+    def test_stop_inside_own_tick_schedules_nothing(self):
+        engine = EventEngine()
+        ticks = []
+
+        def action(time):
+            ticks.append(time)
+            if time == 20:
+                proc.stop()
+
+        proc = RecurringProcess(engine, action=action, interval_policy=lambda t: 10)
+        proc.start(at=0)
+        engine.run_until(25)
+        assert ticks == [0, 10, 20]
+        assert proc.stopped
+        assert engine.pending == 0
+        assert engine.queue_signature() == []
+        assert engine.fired == 3
+        engine.run()
+        assert engine.fired == 3
