@@ -69,9 +69,12 @@ shardtest:
 
 # Store harness: the SQLite dataset backend — byte-identical export vs the
 # legacy JSONL path (plain, --chaos, --jobs 4), SQL queries pinned equal to
-# the in-memory analyses, and the WAL-replay/shard-merge ingest paths.
+# the in-memory analyses, the WAL-replay/shard-merge ingest paths, and the
+# id columns' little-endian int32 BLOBs (round trip, refused bad ids, a
+# refused schema@1 file).
 storetest:
 	$(RUN_ENV) $(PYTHON) -m pytest tests/store/ -v
+	$(RUN_ENV) $(PYTHON) -m pytest tests/honeypot/test_row_encoding.py -k Store -v
 
 # Storage-fault sweep: every failpoint in the repro.failpoints catalog is
 # injected mid-run (SIGKILL, torn write, ENOSPC/EIO, hang, poison) and the

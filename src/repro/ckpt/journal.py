@@ -25,9 +25,15 @@ mid-file damage — a named checkpoint refusal, not a silent fork.)
 
 On resume the journal runs in *replay-verify* mode: records the resumed
 (deterministic) run re-produces are compared byte-for-byte against the
-salvaged prefix instead of being re-written — any mismatch means the
-replay diverged from the crashed run and resumption is refused rather
-than silently forking history.
+salvaged prefix instead of being re-written — the JSON text the replay
+would append against the ``json.dumps`` of the salvaged record, so
+``true`` never matches ``1`` — and any mismatch means the replay
+diverged from the crashed run and resumption is refused rather than
+silently forking history.
+
+A record may hold NumPy arrays (a liker row shares its record's id
+arrays); each is written as its list, so the journal's text is the
+``json.dumps`` of the row with every array as a list.
 """
 
 from __future__ import annotations
@@ -35,7 +41,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import IO, Dict, List, Optional
+from typing import IO, Any, Dict, List, Optional
+
+import numpy as np
 
 from repro import failpoints
 from repro.ckpt.errors import CheckpointError
@@ -44,6 +52,18 @@ from repro.util.durable import atomic_write_text, fsync_handle
 
 #: Journal format identifier (bump on breaking layout changes).
 JOURNAL_SCHEMA = "repro.ckpt/journal@1"
+
+
+def _array_as_list(value: Any) -> List:
+    """``json.dumps`` default: an ndarray as its list, anything else refused."""
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+#: One journal record's JSON text: ``json.dumps(row, default=...)`` with
+#: each array as its list, from one encoder built once.
+_encode = json.JSONEncoder(default=_array_as_list).encode
 
 
 @dataclass
@@ -154,7 +174,7 @@ class DatasetJournal:
         }
         if shard_id is not None:
             header["shard"] = shard_id
-        journal._write_row(header)
+        journal._write_text(_encode(header))
         journal.commit()
         journal.records_written = 0  # the header is not a dataset record
         return journal
@@ -226,27 +246,29 @@ class DatasetJournal:
         """Append one record — or verify it against the salvage.
 
         While a salvaged prefix remains, the record the study just
-        re-produced must equal the one already on disk; a mismatch means
-        the deterministic replay diverged from the crashed run, and the
+        re-produced must encode to the text of the one already on disk
+        (the ``json.dumps`` of the salvaged record); a mismatch means the
+        deterministic replay diverged from the crashed run, and the
         journal refuses rather than fork history.
         """
+        text = _encode(row)
         if self._replay_index < len(self._replay):
-            expected = self._replay[self._replay_index]
-            if row != expected:
+            expected = json.dumps(self._replay[self._replay_index])
+            if text != expected:
                 raise CheckpointError(
                     f"journal divergence at record {self._replay_index}: "
-                    f"replay produced {json.dumps(row)[:200]}, journal holds "
-                    f"{json.dumps(expected)[:200]}; refusing to resume"
+                    f"replay produced {text[:200]}, journal holds "
+                    f"{expected[:200]}; refusing to resume"
                 )
             self._replay_index += 1
             return
-        self._write_row(row)
+        self._write_text(text)
 
-    def _write_row(self, row: Dict) -> None:
+    def _write_text(self, text: str) -> None:
         if self._handle is None:
             raise CheckpointError(f"journal {self.path} is not open for appends")
         try:
-            self._handle.write(json.dumps(row) + "\n")
+            self._handle.write(text + "\n")
             self._handle.flush()
             # The record is in the OS page cache, where a SIGKILL cannot
             # reach it; a kill/stall fired here lands at a reproducible

@@ -12,7 +12,10 @@ group of the paper's Table 3 and the AL-USA/MS-USA block of Figure 5.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import compress
 from typing import Dict, List
+
+import numpy as np
 
 from repro.farms.accounts import FakeAccountFactory, FarmAccountConfig
 from repro.farms.topology import FarmTopology
@@ -102,7 +105,10 @@ class FarmOperator:
         pool = self._pools.setdefault(key, [])
         stats = self.stats.setdefault(key, PoolStats())
 
-        reusable = [a for a in pool if not self._network.user(a).is_terminated]
+        # One read of the alive column over the pool's rows, pool order kept.
+        profiles = self._network.profiles
+        alive = profiles.alive_mask()[np.asarray(pool, dtype=np.int64) - profiles.id_base]
+        reusable = list(compress(pool, alive.tolist()))
         reuse_target = min(int(round(count * self.reuse_fraction)), len(reusable))
         reused = (
             rng.sample_without_replacement(reusable, reuse_target)

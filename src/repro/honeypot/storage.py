@@ -23,48 +23,8 @@ from typing import (
 import numpy as np
 
 from repro import failpoints
-from repro.osn.columns import as_int32
+from repro.osn.columns import as_int32, pack_pairs, unpack_low
 from repro.util.durable import fsync_dir, fsync_handle
-
-
-def write_jsonl_rows(path: Path, rows: Iterable[Dict], tag: str = "dataset") -> None:
-    """Atomically and durably write an iterable of row dicts as JSON Lines.
-
-    The one serialisation path every dataset export shares — the in-memory
-    :meth:`HoneypotDataset.to_jsonl` and the SQLite-backed
-    :meth:`repro.store.HoneypotStore.to_jsonl` both stream their rows
-    through here, so "byte-identical exports" is a structural property,
-    not a convention.  Rows go to a sibling temp file which is fsync'd
-    before it replaces ``path``, and the directory entry is fsync'd after
-    the rename: a crash mid-write can never leave a truncated dataset
-    where a previous good one stood, and a crash immediately after the
-    rename cannot surface an empty file (rename alone orders nothing
-    against the page cache).
-    """
-    path = Path(path)
-    tmp_path = path.with_name(path.name + ".tmp")
-    try:
-        with tmp_path.open("w", encoding="utf-8") as handle:
-            first = True
-            for row in rows:
-                line = json.dumps(row) + "\n"
-                if first:
-                    first = False
-                    failpoints.hit(
-                        "durable.write.data",
-                        torn=lambda: (
-                            handle.write(line[: len(line) // 2]),
-                            handle.flush(),
-                        ),
-                    )
-                handle.write(line)
-            fsync_handle(handle, tag=tag)
-        failpoints.hit("durable.rename", torn=lambda: None)
-        tmp_path.replace(path)
-        fsync_dir(path.parent, tag=tag)
-    except BaseException:
-        tmp_path.unlink(missing_ok=True)
-        raise
 
 
 @dataclass(frozen=True, slots=True)
@@ -109,6 +69,21 @@ _NO_IDS = np.empty(0, dtype=np.int32)
 _NO_IDS.flags.writeable = False
 
 
+#: The byte layout of an id array at rest in the store: little-endian
+#: int32, 4 bytes per id.
+ID_BLOB = np.dtype("<i4")
+
+
+def id_blob(values, what: str) -> bytes:
+    """``values`` as :data:`ID_BLOB` bytes, validated as a record's ids are.
+
+    A record's int32 array casts without a copy; anything else goes
+    through the same int32 check, so an id that does not fit or is not
+    an integer raises :class:`~repro.util.validation.ValidationError`.
+    """
+    return as_int32(values, what).astype(ID_BLOB, copy=False).tobytes()
+
+
 def _frozen_ids(values, what: str) -> np.ndarray:
     """``values`` as a read-only int32 array that owns its data.
 
@@ -142,7 +117,7 @@ class LikerRecord:
     pages, so one array per field (a 112-byte header) comes to about
     5 bytes per id, where a list of Python ints takes 36 (an 8-byte
     pointer and a 28-byte int object each).  Records compare equal when
-    their :func:`record_fields` rows do.
+    their fields do, the id arrays by value.
 
     ``crawl_status`` is ``"complete"`` when every endpoint answered and
     ``"partial"`` when some crawl requests failed permanently;
@@ -174,7 +149,14 @@ class LikerRecord:
     def __eq__(self, other) -> bool:
         if not isinstance(other, LikerRecord):
             return NotImplemented
-        return record_fields(self) == record_fields(other)
+        for name, copy in _FIELD_PLANS[LikerRecord]:
+            mine, theirs = getattr(self, name), getattr(other, name)
+            if copy == "array":
+                if not np.array_equal(mine, theirs):
+                    return False
+            elif mine != theirs:
+                return False
+        return True
 
     @property
     def has_friend_data(self) -> bool:
@@ -225,27 +207,200 @@ _FIELD_PLANS = {
 def record_fields(record: Any) -> Dict[str, Any]:
     """One dataset record as a row dict: the row format of every sink.
 
-    Equal to ``dataclasses.asdict(record)`` with each id array as a list
-    of Python ints, key order included, but shallow: list fields are
-    copied with ``list()`` (so no row aliases its record), id arrays
-    with ``tolist()``, and a list of records (a campaign's observations)
-    is encoded item by item, while scalars are shared — they are
-    immutable, so ``asdict``'s per-element ``deepcopy`` bought nothing
-    but time.
+    Equal to ``dataclasses.asdict(record)``, key order included, but
+    shallow: list fields are copied with ``list()`` (so no row aliases
+    its record) and a list of records (a campaign's observations) is
+    encoded item by item, while scalars and a liker's two id arrays are
+    shared.  Scalars are immutable and the arrays read-only, so
+    ``asdict``'s per-element ``deepcopy`` bought nothing but time, and
+    each sink encodes an array a column at a time: the JSONL writer as
+    text (:func:`write_jsonl_rows`), the store as int32 bytes, the
+    journal through ``tolist()``.  ``json.loads`` of any sink's line
+    equals the row with each array as a list.
     The dataset JSONL, the store export and the checkpoint journal all
     build their rows here, so their formats cannot drift apart.
     """
     row = {}
     for name, copy in _FIELD_PLANS[type(record)]:
         value = getattr(record, name)
-        if copy == "array":
-            value = value.tolist()
-        elif copy == "list":
+        if copy == "list":
             value = list(value)
         elif copy == "records":
             value = [record_fields(item) for item in value]
         row[name] = value
     return row
+
+
+#: Ids a chunk of buffered liker rows holds before it is encoded; a
+#: record with more ids than this is encoded alone.
+_ID_CHUNK = 16_384
+
+
+def _liker_plan() -> Tuple[str, Tuple[Tuple[str, str], ...]]:
+    """The liker line's ``%`` format and ``(name, how)`` per field.
+
+    Keys follow ``LikerRecord``'s declaration order with ``"type"`` last,
+    as :meth:`HoneypotDataset.iter_rows` builds the row.  ``how`` is
+    ``"ids"`` for an id array, ``"int"`` for an ``int`` field and
+    ``"json"`` for any other value.
+    """
+    hints = get_type_hints(LikerRecord)
+    parts, plan = [], []
+    for name, copy in _FIELD_PLANS[LikerRecord]:
+        if copy == "array":
+            parts.append(f"{json.dumps(name)}: [%s]")
+            plan.append((name, "ids"))
+        else:
+            parts.append(f"{json.dumps(name)}: %s")
+            plan.append((name, "int" if hints[name] is int else "json"))
+    parts.append('"type": "liker"')
+    return "{" + ", ".join(parts) + "}\n", tuple(plan)
+
+
+_LIKER_FORMAT, _LIKER_PLAN = _liker_plan()
+_LIKER_ID_FIELDS = tuple(name for name, how in _LIKER_PLAN if how == "ids")
+
+
+def _joined_ids(arrays: List[np.ndarray]) -> List[str]:
+    """Each id array as the text between its JSON brackets: ``"3, 1, 4"``.
+
+    One packed ``(id, position)`` sort ranks every id of the chunk, each
+    distinct id gets one ``str()``, and one object gather hands every
+    position its text; ``str`` of an int is what ``json.dumps`` writes.
+    """
+    lengths = [len(array) for array in arrays]
+    total = sum(lengths)
+    if total == 0:
+        return [""] * len(arrays)
+    ids = as_int32(np.concatenate([array for array in arrays if len(array)]), "id")
+    packed = np.empty(total, dtype=np.int64)
+    pack_pairs(packed, ids, np.arange(total, dtype=np.int64))
+    packed.sort()
+    positions = np.empty(total, dtype=np.int32)
+    unpack_low(packed, positions)
+    packed >>= 32
+    first = np.empty(total, dtype=bool)
+    first[0] = True
+    np.not_equal(packed[1:], packed[:-1], out=first[1:])
+    rank = np.empty(total, dtype=np.intp)
+    rank[positions] = np.cumsum(first) - 1
+    words = np.array([str(value) for value in packed[first].tolist()], dtype=object)
+    texts = words[rank].tolist()
+    joined = []
+    start = 0
+    for length in lengths:
+        joined.append(", ".join(texts[start:start + length]))
+        start += length
+    return joined
+
+
+class _JsonMemo(dict):
+    """JSON text per ``(type, value)`` key, encoded on first use.
+
+    A list value is keyed as a tuple, which ``json.dumps`` writes as the
+    same array.
+    """
+
+    __slots__ = ()
+
+    def __missing__(self, key):
+        text = self[key] = json.dumps(key[1])
+        return text
+
+
+def _liker_lines(rows: List[Dict], memo: _JsonMemo) -> List[str]:
+    """The JSONL lines of a chunk of liker rows, as ``json.dumps`` writes them.
+
+    Each field is encoded a column at a time: the id arrays through
+    :func:`_joined_ids`, an ``int`` column with ``int.__repr__`` and any
+    other through ``memo``, so a liker's repeated strings, flags and
+    lists are encoded once per write.
+    """
+    count = len(rows)
+    joined = _joined_ids([row[name] for name in _LIKER_ID_FIELDS for row in rows])
+    columns = []
+    for name, how in _LIKER_PLAN:
+        if how == "ids":
+            columns.append(joined[:count])
+            joined = joined[count:]
+            continue
+        values = [row[name] for row in rows]
+        kinds = list(map(type, values))
+        if how == "int" and kinds.count(int) == count:
+            columns.append(list(map(int.__repr__, values)))
+            continue
+        if list in kinds:
+            values = [tuple(v) if kind is list else v for kind, v in zip(kinds, values)]
+        columns.append(list(map(memo.__getitem__, zip(kinds, values))))
+    return [_LIKER_FORMAT % parts for parts in zip(*columns)]
+
+
+def _jsonl_lines(rows: Iterable[Dict]) -> Iterator[str]:
+    """The lines of ``rows``: ``json.dumps(row)`` with each id array as a list.
+
+    Liker rows (built by :func:`record_fields`) are buffered up to
+    :data:`_ID_CHUNK` ids and encoded a chunk at a time; every other row
+    is one ``json.dumps``.  Row order is kept.
+    """
+    memo = _JsonMemo()
+    chunk: List[Dict] = []
+    chunk_ids = 0
+    for row in rows:
+        if row.get("type") == "liker":
+            count = sum(len(row[name]) for name in _LIKER_ID_FIELDS)
+            if chunk and chunk_ids + count > _ID_CHUNK:
+                yield from _liker_lines(chunk, memo)
+                chunk, chunk_ids = [], 0
+            chunk.append(row)
+            chunk_ids += count
+            continue
+        if chunk:
+            yield from _liker_lines(chunk, memo)
+            chunk, chunk_ids = [], 0
+        yield json.dumps(row) + "\n"
+    if chunk:
+        yield from _liker_lines(chunk, memo)
+
+
+def write_jsonl_rows(path: Path, rows: Iterable[Dict], tag: str = "dataset") -> None:
+    """Atomically and durably write an iterable of row dicts as JSON Lines.
+
+    The one serialisation path every dataset export shares — the in-memory
+    :meth:`HoneypotDataset.to_jsonl` and the SQLite-backed
+    :meth:`repro.store.HoneypotStore.to_jsonl` both stream their rows
+    through here, so "byte-identical exports" is a structural property,
+    not a convention.  Each line is ``json.dumps(row)`` with each id array
+    as a list; liker rows are encoded a chunk at a time
+    (:func:`_jsonl_lines`).  Rows go to a sibling temp file which is fsync'd
+    before it replaces ``path``, and the directory entry is fsync'd after
+    the rename: a crash mid-write can never leave a truncated dataset
+    where a previous good one stood, and a crash immediately after the
+    rename cannot surface an empty file (rename alone orders nothing
+    against the page cache).
+    """
+    path = Path(path)
+    tmp_path = path.with_name(path.name + ".tmp")
+    try:
+        with tmp_path.open("w", encoding="utf-8") as handle:
+            first = True
+            for line in _jsonl_lines(rows):
+                if first:
+                    first = False
+                    failpoints.hit(
+                        "durable.write.data",
+                        torn=lambda: (
+                            handle.write(line[: len(line) // 2]),
+                            handle.flush(),
+                        ),
+                    )
+                handle.write(line)
+            fsync_handle(handle, tag=tag)
+        failpoints.hit("durable.rename", torn=lambda: None)
+        tmp_path.replace(path)
+        fsync_dir(path.parent, tag=tag)
+    except BaseException:
+        tmp_path.unlink(missing_ok=True)
+        raise
 
 
 @dataclass
@@ -283,10 +438,12 @@ class HoneypotDataset:
     def iter_rows(self) -> Iterator[Dict]:
         """The dataset as typed JSONL row dicts, in export order.
 
-        Exactly the rows :meth:`to_jsonl` writes: one ``meta`` row, then
-        campaigns in insertion (Table 1) order, likers in insertion
-        (first-crawled) order, and the baseline sample.  This is also the
-        ingest stream :class:`repro.store.HoneypotStore` consumes.
+        The rows :meth:`to_jsonl` writes, one per line: ``json.loads`` of
+        each line equals the row, with arrays as lists.  One ``meta`` row
+        comes first, then campaigns in insertion (Table 1) order, likers
+        in insertion (first-crawled) order, and the baseline sample.  A
+        liker row shares its record's read-only id arrays.  This is also
+        the ingest stream :class:`repro.store.HoneypotStore` consumes.
         """
         yield {
             "type": "meta",

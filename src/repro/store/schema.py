@@ -11,9 +11,11 @@ One honeypot study maps onto six tables:
   ``(campaign_id, position)`` so first-observed order is durable, and
   indexed on ``(campaign_id, user_id, observed_at)`` — the access path of
   the overlap and temporal queries.
-* ``likers`` — one row per crawled liker in first-crawled order; list
-  fields (visible friends, liked pages, failed field groups) are JSON
-  text, the campaign membership is normalised into ``liker_campaigns``.
+* ``likers`` — one row per crawled liker in first-crawled order; the
+  two id arrays (visible friends, liked pages) are BLOBs of
+  little-endian int32 ids, 4 bytes per id, which no query reads; the
+  failed field groups are JSON text, and the campaign membership is
+  normalised into ``liker_campaigns``.
 * ``liker_campaigns`` — ``(user_id, position, campaign_id)``: the
   per-liker campaign list in observation order, the overlap queries' join
   table.
@@ -30,7 +32,7 @@ byte-identical JSONL contract.
 from __future__ import annotations
 
 #: Store format identifier (bump on breaking layout changes).
-STORE_SCHEMA = "repro.store/schema@1"
+STORE_SCHEMA = "repro.store/schema@2"
 
 #: ``meta`` keys reserved by the store itself.
 META_SCHEMA_KEY = "schema"
@@ -91,8 +93,8 @@ CREATE TABLE likers (
     country               TEXT NOT NULL,
     friend_list_public    INTEGER NOT NULL,
     declared_friend_count INTEGER,
-    visible_friend_ids    TEXT NOT NULL,
-    liked_page_ids        TEXT NOT NULL,
+    visible_friend_ids    BLOB NOT NULL,
+    liked_page_ids        BLOB NOT NULL,
     declared_like_count   INTEGER NOT NULL,
     terminated            INTEGER NOT NULL,
     crawl_status          TEXT NOT NULL,

@@ -16,7 +16,9 @@ Guarantees:
   likers, baseline), reconstructing each record through the same
   dataclasses — so a store built from a run exports the exact bytes
   ``HoneypotDataset.to_jsonl`` would have written (pinned by
-  ``tests/store/``).
+  ``tests/store/``).  A liker's id arrays are stored as little-endian
+  int32 BLOBs and come back as the same arrays; an id that is not an
+  int32 integer is refused at ingest, so every stored row exports.
 * **Schema versioning.** Every store file carries
   :data:`~repro.store.schema.STORE_SCHEMA` in its ``meta`` table; opening
   a file with a different tag (or no tag) is a
@@ -31,15 +33,19 @@ from __future__ import annotations
 import json
 import sqlite3
 from pathlib import Path
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro import failpoints
 from repro.honeypot.storage import (
+    ID_BLOB,
     BaselineRecord,
     CampaignRecord,
     HoneypotDataset,
     LikeObservation,
     LikerRecord,
+    id_blob,
     iter_jsonl_rows,
     record_fields,
     write_jsonl_rows,
@@ -69,6 +75,33 @@ _LIKER_COLUMNS = (
     "declared_friend_count", "visible_friend_ids", "liked_page_ids",
     "declared_like_count", "terminated", "crawl_status", "failed_fields",
 )
+
+
+def _liker_ids(row: Dict, name: str, what: str) -> bytes:
+    """The liker row's id field ``name`` as its BLOB column's bytes.
+
+    A record's int32 array casts without a copy; a list from a JSONL or
+    journal row is validated first.  An id that is not an integer or
+    does not fit in int32 refuses the row with a :class:`StoreError`
+    naming the user and the id.
+    """
+    values = row[name]
+    try:
+        return id_blob(values, what)
+    except ValueError as error:
+        raise StoreError(
+            f"liker {row['user_id']!r}: {what} {_first_bad_id(values)!r} is not "
+            f"an int32 integer; refusing the row ({error})"
+        ) from error
+
+
+def _first_bad_id(values: Any) -> Any:
+    """The first element of a JSON id list that is not an int32 integer."""
+    if isinstance(values, list):
+        for value in values:
+            if type(value) is not int or not -(2**31) <= value < 2**31:
+                return value
+    return values
 
 
 class HoneypotStore:
@@ -335,7 +368,9 @@ class HoneypotStore:
 
         Rows are buffered per table and flushed as batched transactions
         every :data:`BATCH_SIZE` rows; an unknown row type is a
-        :class:`StoreError` (the stream is corrupt, not just unfamiliar).
+        :class:`StoreError` (the stream is corrupt, not just unfamiliar),
+        and so is a liker id that is not an int32 integer.  Either way
+        the rows before it land and the refused row does not.
         """
         total = 0
         campaigns: List[Tuple] = []
@@ -394,12 +429,16 @@ class HoneypotStore:
                 for position, user_id in enumerate(row["terminated_liker_ids"]):
                     terminations.append((row["campaign_id"], position, user_id))
             elif kind == "liker":
+                try:
+                    friends = _liker_ids(row, "visible_friend_ids", "friend id")
+                    pages = _liker_ids(row, "liked_page_ids", "page id")
+                except StoreError:
+                    flush()
+                    raise
                 likers.append((
                     row["user_id"], row["gender"], row["age_bracket"],
                     row["country"], int(bool(row["friend_list_public"])),
-                    row["declared_friend_count"],
-                    json.dumps(row["visible_friend_ids"]),
-                    json.dumps(row["liked_page_ids"]),
+                    row["declared_friend_count"], friends, pages,
                     row["declared_like_count"], int(bool(row["terminated"])),
                     row["crawl_status"], json.dumps(row["failed_fields"]),
                 ))
@@ -516,8 +555,8 @@ class HoneypotStore:
             country=country,
             friend_list_public=bool(friend_list_public),
             declared_friend_count=declared_friend_count,
-            visible_friend_ids=json.loads(visible_friend_ids),
-            liked_page_ids=json.loads(liked_page_ids),
+            visible_friend_ids=np.frombuffer(visible_friend_ids, ID_BLOB),
+            liked_page_ids=np.frombuffer(liked_page_ids, ID_BLOB),
             declared_like_count=declared_like_count,
             campaign_ids=[c for (c,) in memberships],
             terminated=bool(terminated),
@@ -546,7 +585,11 @@ class HoneypotStore:
     # -- export -------------------------------------------------------------------
 
     def iter_rows(self) -> Iterator[Dict]:
-        """Typed JSONL row dicts in export order (see ``HoneypotDataset``)."""
+        """Typed JSONL row dicts in export order (see ``HoneypotDataset``).
+
+        :meth:`to_jsonl` writes one line per row, and ``json.loads`` of
+        each line equals the row, with arrays as lists.
+        """
         failpoints.hit("store.export.rows")
         gender, age, country = self.globals_report()
         yield {

@@ -4,7 +4,7 @@ import pytest
 
 from repro.farms.accounts import FakeAccountFactory, FarmAccountConfig
 from repro.farms.base import REGION_USA, REGION_WORLDWIDE
-from repro.farms.operator import FarmOperator
+from repro.farms.operator import FarmOperator, PoolStats
 from repro.osn.network import SocialNetwork
 from repro.osn.population import PopulationConfig, WorldBuilder
 from repro.util.distributions import Categorical
@@ -92,3 +92,102 @@ class TestAccountsForOrder:
             return [net.user(a).country for a in op.pool(REGION_USA)]
 
         assert run(3) == run(3)
+
+
+class _ViewLoopOperator(FarmOperator):
+    """The reuse filter as it was: one ``network.user`` view per account."""
+
+    def accounts_for_order(self, farm_name, config, region, count,
+                           created_at=0, topology=None):
+        self._order_counter += 1
+        rng = self._rng.child(f"order/{self._order_counter}")
+        key = self._pool_key(region)
+        pool = self._pools.setdefault(key, [])
+        stats = self.stats.setdefault(key, PoolStats())
+        reusable = [a for a in pool if not self._network.user(a).is_terminated]
+        reuse_target = min(int(round(count * self.reuse_fraction)), len(reusable))
+        reused = (
+            rng.sample_without_replacement(reusable, reuse_target)
+            if reuse_target > 0 else []
+        )
+        fresh = self._factory.create_accounts(
+            farm_name=farm_name, config=config, region=region,
+            count=count - len(reused), rng=rng.child("create"),
+            created_at=created_at,
+        )
+        if topology is not None and fresh:
+            topology.wire_pool(
+                self._network, fresh, rng.child("topology"), farm_name, config.age
+            )
+        pool.extend(fresh)
+        stats.created += len(fresh)
+        stats.reused += len(reused)
+        return reused + fresh
+
+
+def _serve_with_terminations(operator_cls, monkeypatch):
+    """Five orders on one pool, terminating every third account served."""
+    draws = []
+    sample = RngStream.sample_without_replacement
+
+    def recorded(self, items, k):
+        out = sample(self, items, k)
+        draws.append((list(items), k, out, self.state_dict()))
+        return out
+
+    rng = RngStream(7, "pool")
+    net = SocialNetwork()
+    world = WorldBuilder(PopulationConfig.small()).build(net, rng.child("w"))
+    op = operator_cls(
+        "op", net, FakeAccountFactory(net, world.universe), rng.child("op"),
+        reuse_fraction=0.6,
+    )
+    served = []
+    with monkeypatch.context() as patch:
+        patch.setattr(RngStream, "sample_without_replacement", recorded)
+        for minute in range(5):
+            accounts = op.accounts_for_order("B", CONFIG, REGION_USA, 30)
+            served.append(accounts)
+            for account in accounts[::3]:
+                net.terminate_account(account, time=minute)
+    pooled = [a for pool in op._pools.values() for a in pool]
+    dead = sum(net.user(a).is_terminated for a in pooled)
+    return served, draws, op.stats, dead, len(pooled)
+
+
+class TestReuseFilter:
+    def test_matches_the_view_loop(self, monkeypatch):
+        columnar = _serve_with_terminations(FarmOperator, monkeypatch)
+        views = _serve_with_terminations(_ViewLoopOperator, monkeypatch)
+        _, draws, stats, dead, pooled = columnar
+        # later orders reused from a pool that held terminated accounts
+        assert draws and stats[REGION_USA].reused > 0 and 0 < dead < pooled
+        assert columnar == views
+
+    def test_small_build_makes_no_view_in_accounts_for_order(self, monkeypatch):
+        from repro.honeypot.study import HoneypotStudy, StudyConfig
+        from repro.osn.profilestore import ProfileView
+
+        counts = {"calls": 0, "pooled": 0, "views": 0}
+        inside = [False]
+        view_init = ProfileView.__init__
+        serve = FarmOperator.accounts_for_order
+
+        def counted_init(self, store, row):
+            counts["views"] += inside[0]
+            view_init(self, store, row)
+
+        def counted_serve(self, *args, **kwargs):
+            counts["calls"] += 1
+            counts["pooled"] += sum(map(len, self._pools.values()))
+            inside[0] = True
+            try:
+                return serve(self, *args, **kwargs)
+            finally:
+                inside[0] = False
+
+        monkeypatch.setattr(ProfileView, "__init__", counted_init)
+        monkeypatch.setattr(FarmOperator, "accounts_for_order", counted_serve)
+        HoneypotStudy(StudyConfig.small()).build_world()
+        assert counts["calls"] > 0 and counts["pooled"] > 0
+        assert counts["views"] == 0

@@ -2,6 +2,7 @@
 
 from dataclasses import asdict
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -27,6 +28,14 @@ def _asdict(record):
         if name in row:
             row[name] = row[name].tolist()
     return row
+
+
+def _as_lists(row):
+    """A row with each id array as a list, as ``json.loads`` of its line."""
+    return {
+        name: value.tolist() if isinstance(value, np.ndarray) else value
+        for name, value in row.items()
+    }
 
 
 _brackets = st.sampled_from(["13-17", "18-24", "25-34", "35-44", "45-54", "55+"])
@@ -159,8 +168,13 @@ class TestRecordFields:
         record = data.draw(_RECORD_STRATEGIES[kind])
         row = record_fields(record)
         reference = _asdict(record)
-        assert row == reference
+        assert _as_lists(row) == reference
         assert _key_orders(row) == _key_orders(reference)
+        for name in _ARRAY_FIELDS:
+            if name in row:
+                # the row shares the record's read-only array
+                assert row[name] is getattr(record, name)
+                assert not row[name].flags.writeable
 
     @pytest.mark.parametrize("kind", sorted(_RECORD_STRATEGIES))
     @settings(max_examples=60, deadline=None)
@@ -193,5 +207,5 @@ class TestRecordFields:
         ):
             reference.extend({**_asdict(record), "type": kind} for record in records)
         rows = list(dataset.iter_rows())
-        assert rows == reference
+        assert [_as_lists(row) for row in rows] == reference
         assert _key_orders(rows) == _key_orders(reference)

@@ -310,7 +310,8 @@ class TestCrawledRecordsNeverWrap:
         row = {"type": "liker", **record_fields(liker_record(liked_page_ids=[9_000_000]))}
         wide = {**row, "user_id": 1_000_001, "liked_page_ids": [9_000_000, TOO_WIDE]}
         path = tmp_path / "wide.jsonl"
-        path.write_text(json.dumps(row) + "\n" + json.dumps(wide) + "\n")
+        lines = (json.dumps(r, default=lambda ids: ids.tolist()) for r in (row, wide))
+        path.write_text("".join(line + "\n" for line in lines))
         with pytest.raises(
             ValueError, match=r"wide\.jsonl:2: malformed 'liker' record \(page id 2147483648"
         ):

@@ -106,10 +106,13 @@ class TestRepairFromJournal:
         with HoneypotStore.create(tmp_path / "direct.sqlite") as direct:
             ingest_journal(direct, journal, config=config)
             direct_counts = direct.counts()
-            direct_rows = list(direct.iter_rows())
+            direct.to_jsonl(tmp_path / "direct.jsonl")
         with HoneypotStore.open(repaired) as store:
             assert store.counts() == direct_counts
-            assert list(store.iter_rows()) == direct_rows
+            store.to_jsonl(tmp_path / "repaired.jsonl")
+        assert (tmp_path / "repaired.jsonl").read_bytes() == (
+            tmp_path / "direct.jsonl"
+        ).read_bytes()
 
     def test_failed_repair_leaves_the_original_untouched(self, tmp_path):
         path = tmp_path / "study.sqlite"
