@@ -69,12 +69,14 @@ shardtest:
 
 # Store harness: the SQLite dataset backend — byte-identical export vs the
 # legacy JSONL path (plain, --chaos, --jobs 4), SQL queries pinned equal to
-# the in-memory analyses, the WAL-replay/shard-merge ingest paths, and the
+# the in-memory analyses, the WAL-replay/shard-merge ingest paths, the
 # id columns' little-endian int32 BLOBs (round trip, refused bad ids, a
-# refused schema@1 file).
+# refused schema@1 file), and the journal ingest's decode of packed ids
+# and its refusals (a malformed packed field, a journal@1 checkpoint).
 storetest:
 	$(RUN_ENV) $(PYTHON) -m pytest tests/store/ -v
-	$(RUN_ENV) $(PYTHON) -m pytest tests/honeypot/test_row_encoding.py -k Store -v
+	$(RUN_ENV) $(PYTHON) -m pytest tests/honeypot/test_row_encoding.py \
+		-k "Store or JournalIngest or JournalSchema" -v
 
 # Storage-fault sweep: every failpoint in the repro.failpoints catalog is
 # injected mid-run (SIGKILL, torn write, ENOSPC/EIO, hang, poison) and the

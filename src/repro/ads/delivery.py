@@ -25,6 +25,7 @@ from repro.ads.campaign import AdCampaign
 from repro.ads.clickworkers import ClickWorkerPopulation
 from repro.ads.costmodel import CostModel, CountryMarket
 from repro.obs.metrics import NULL_METRICS, MetricsRegistry
+from repro.osn.columns import sorted_unique
 from repro.osn.ids import UserId
 from repro.osn.network import SocialNetwork
 from repro.osn.profile import AGE_BRACKETS, COHORT_CLICKWORKER
@@ -245,7 +246,7 @@ class AdDeliveryEngine:
         raw_all = bracket_probs[profiles.age_bracket_indices()[rows]]
         country_codes = profiles.country_codes()[rows]
         user_ids = profiles.user_ids()[rows]
-        for code in np.unique(country_codes):
+        for code in sorted_unique(country_codes):
             mask = country_codes == code
             raw = raw_all[mask]
             total = raw.sum()

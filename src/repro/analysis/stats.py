@@ -81,8 +81,28 @@ def summary_stats(values: Iterable[float]) -> SummaryStats:
         count=len(data),
         mean=float(array.mean()),
         std=float(array.std()),
-        median=float(np.median(array)),
+        median=_median(array),
     )
+
+
+def _median(array: np.ndarray) -> float:
+    """``np.median`` of a non-empty 1-D float array, bit for bit.
+
+    The same partition (the middle element or elements, and the last
+    slot, where a NaN sorts) and the same ``mean`` of the middle, with a
+    NaN in the last slot as the result.  ``np.median`` itself reaches
+    that NaN check through ``numpy.ma``, whose import a ``run`` would
+    otherwise pay for this one call.
+    """
+    half = array.shape[0] // 2
+    if array.shape[0] % 2:
+        kth, middle = [half, -1], slice(half, half + 1)
+    else:
+        kth, middle = [half - 1, half, -1], slice(half - 1, half + 1)
+    part = np.partition(array, kth)
+    if np.isnan(part[-1]):
+        return float(part[-1])
+    return float(part[middle].mean(axis=0))
 
 
 def max_count_in_window(times: Sequence[int], window: int) -> int:

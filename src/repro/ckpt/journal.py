@@ -31,13 +31,20 @@ would append against the ``json.dumps`` of the salvaged record, so
 diverged from the crashed run and resumption is refused rather than
 silently forking history.
 
-A record may hold NumPy arrays (a liker row shares its record's id
-arrays); each is written as its list, so the journal's text is the
-``json.dumps`` of the row with every array as a list.
+A record may hold NumPy int32 arrays (a liker row shares its record's
+two read-only id arrays).  Each is written as its *packed text*: the
+base64 (standard alphabet, no newline) of its little-endian int32 bytes,
+the bytes the store keeps in its BLOB columns.  Encoding an array is
+then one C call, not a Python int and a decimal string per id.  So the
+journal's text is the ``json.dumps`` of the row with every array as its
+packed text, and :func:`unpack_ids` turns such a field back into its
+array.  Any other array is refused, never wrapped or widened.
 """
 
 from __future__ import annotations
 
+import base64
+import binascii
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -48,22 +55,43 @@ import numpy as np
 from repro import failpoints
 from repro.ckpt.errors import CheckpointError
 from repro.obs.metrics import NULL_METRICS, MetricsRegistry
-from repro.util.durable import atomic_write_text, fsync_handle
+from repro.util.durable import ID_BLOB, atomic_write_text, fsync_handle
 
 #: Journal format identifier (bump on breaking layout changes).
-JOURNAL_SCHEMA = "repro.ckpt/journal@1"
+JOURNAL_SCHEMA = "repro.ckpt/journal@2"
 
 
-def _array_as_list(value: Any) -> List:
-    """``json.dumps`` default: an ndarray as its list, anything else refused."""
-    if isinstance(value, np.ndarray):
-        return value.tolist()
-    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+def _packed_ids(value: Any) -> str:
+    """``json.dumps`` default: a 1-D int32 array as its packed text.
+
+    Anything else is refused with :class:`TypeError`: an array of
+    another dtype or shape, so an int64 id is never wrapped into 32
+    bits, and every object ``json`` cannot write.
+    """
+    if not isinstance(value, np.ndarray):
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+    if value.ndim != 1 or value.dtype.kind != "i" or value.dtype.itemsize != 4:
+        raise TypeError(
+            f"a journal array must be 1-D int32, not {value.dtype} of shape "
+            f"{value.shape}"
+        )
+    data = np.ascontiguousarray(value, dtype=ID_BLOB)
+    return binascii.b2a_base64(data, newline=False).decode("ascii")
+
+
+def unpack_ids(text: Any) -> np.ndarray:
+    """The read-only int32 array a packed journal field holds.
+
+    Raises :class:`TypeError` when ``text`` is not a string and
+    :class:`ValueError` when it is not base64 of whole little-endian
+    int32 values.
+    """
+    return np.frombuffer(base64.b64decode(text, validate=True), dtype=ID_BLOB)
 
 
 #: One journal record's JSON text: ``json.dumps(row, default=...)`` with
-#: each array as its list, from one encoder built once.
-_encode = json.JSONEncoder(default=_array_as_list).encode
+#: each array as its packed text, from one encoder built once.
+_encode = json.JSONEncoder(default=_packed_ids).encode
 
 
 @dataclass

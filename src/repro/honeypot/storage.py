@@ -24,7 +24,7 @@ import numpy as np
 
 from repro import failpoints
 from repro.osn.columns import as_int32, pack_pairs, unpack_low
-from repro.util.durable import fsync_dir, fsync_handle
+from repro.util.durable import ID_BLOB, fsync_dir, fsync_handle
 
 
 @dataclass(frozen=True, slots=True)
@@ -67,11 +67,6 @@ CRAWL_PARTIAL = "partial"
 #: The one array every empty id field of every record holds.
 _NO_IDS = np.empty(0, dtype=np.int32)
 _NO_IDS.flags.writeable = False
-
-
-#: The byte layout of an id array at rest in the store: little-endian
-#: int32, 4 bytes per id.
-ID_BLOB = np.dtype("<i4")
 
 
 def id_blob(values, what: str) -> bytes:
@@ -215,8 +210,9 @@ def record_fields(record: Any) -> Dict[str, Any]:
     ``asdict``'s per-element ``deepcopy`` bought nothing but time, and
     each sink encodes an array a column at a time: the JSONL writer as
     text (:func:`write_jsonl_rows`), the store as int32 bytes, the
-    journal through ``tolist()``.  ``json.loads`` of any sink's line
-    equals the row with each array as a list.
+    journal as the base64 of those bytes.  ``json.loads`` of a JSONL
+    line equals the row with each array as a list, of a journal line
+    with each array as its packed text.
     The dataset JSONL, the store export and the checkpoint journal all
     build their rows here, so their formats cannot drift apart.
     """
@@ -258,7 +254,8 @@ def _liker_plan() -> Tuple[str, Tuple[Tuple[str, str], ...]]:
 
 
 _LIKER_FORMAT, _LIKER_PLAN = _liker_plan()
-_LIKER_ID_FIELDS = tuple(name for name, how in _LIKER_PLAN if how == "ids")
+#: The liker row's id array fields, in declaration order.
+LIKER_ID_FIELDS = tuple(name for name, how in _LIKER_PLAN if how == "ids")
 
 
 def _joined_ids(arrays: List[np.ndarray]) -> List[str]:
@@ -317,7 +314,7 @@ def _liker_lines(rows: List[Dict], memo: _JsonMemo) -> List[str]:
     lists are encoded once per write.
     """
     count = len(rows)
-    joined = _joined_ids([row[name] for name in _LIKER_ID_FIELDS for row in rows])
+    joined = _joined_ids([row[name] for name in LIKER_ID_FIELDS for row in rows])
     columns = []
     for name, how in _LIKER_PLAN:
         if how == "ids":
@@ -347,7 +344,7 @@ def _jsonl_lines(rows: Iterable[Dict]) -> Iterator[str]:
     chunk_ids = 0
     for row in rows:
         if row.get("type") == "liker":
-            count = sum(len(row[name]) for name in _LIKER_ID_FIELDS)
+            count = sum(len(row[name]) for name in LIKER_ID_FIELDS)
             if chunk and chunk_ids + count > _ID_CHUNK:
                 yield from _liker_lines(chunk, memo)
                 chunk, chunk_ids = [], 0

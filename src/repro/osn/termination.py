@@ -20,6 +20,7 @@ from typing import Dict, Iterable, List, Set
 
 import numpy as np
 
+from repro.osn.columns import sorted_unique
 from repro.osn.ids import PageId, UserId
 from repro.osn.network import SocialNetwork
 from repro.util.rng import RngStream
@@ -132,7 +133,7 @@ class TerminationSweep:
             likers.extend(network.page_liker_ids(page_id))
             burst_flagged.update(self.burst_likers(network, page_id))
         profiles = network.profiles
-        candidates = np.unique(np.asarray(likers, dtype=np.int64))
+        candidates = sorted_unique(np.asarray(likers, dtype=np.int64))
         rows = candidates - profiles.id_base
         live = profiles.alive_mask()[rows]
         candidates, rows = candidates[live], rows[live]

@@ -28,11 +28,30 @@ import os
 from pathlib import Path
 from typing import Dict, Iterator, List, Optional
 
-from repro.ckpt.journal import read_journal
+from repro.ckpt.journal import read_journal, unpack_ids
+from repro.honeypot.storage import LIKER_ID_FIELDS
 from repro.honeypot.study import StudyConfig
 from repro.store.errors import StoreError
 from repro.store.store import HoneypotStore
 from repro.util.timeutil import DAY
+
+
+def _liker_row(record: Dict, journal_path: Path) -> Dict:
+    """A journaled liker record as an ingest row, its packed ids as arrays.
+
+    A field that is not packed int32 ids refuses the record with a
+    :class:`StoreError` naming the user and the field.
+    """
+    row = dict(record)
+    for name in LIKER_ID_FIELDS:
+        try:
+            row[name] = unpack_ids(record.get(name))
+        except (TypeError, ValueError) as error:
+            raise StoreError(
+                f"{journal_path}: liker {record.get('user_id')!r}: {name} is "
+                f"not packed int32 ids ({error}); refusing the record"
+            ) from error
+    return row
 
 
 def ingest_journal(
@@ -45,7 +64,8 @@ def ingest_journal(
     Returns ``{"records": <journal records consumed>, "rows": <store rows
     ingested>, "torn": 0|1}``.  A torn final journal line is salvage (the
     crash-mid-append signature, same contract as resume); an unknown
-    record type is a :class:`StoreError`.
+    record type is a :class:`StoreError`, and so is a liker record whose
+    id field is not packed int32 ids, after the rows before it land.
     """
     recovery = read_journal(Path(journal_path), metrics=store.metrics)
     observations: Dict[str, List[Dict]] = {}
@@ -59,7 +79,7 @@ def ingest_journal(
             for user_id in record["new_liker_ids"]:
                 rows.append({"observed_at": record["time"], "user_id": user_id})
         elif kind == "liker":
-            likers.append({**record})
+            likers.append(record)
         elif kind == "baseline":
             baseline.append({**record})
         elif kind == "termination":
@@ -111,8 +131,8 @@ def ingest_journal(
                 "removed_like_count": termination.get("removed_like_count", 0),
                 "total_cost": None,
             }
-        for row in likers:
-            yield row
+        for record in likers:
+            yield _liker_row(record, journal_path)
         for row in baseline:
             yield row
 

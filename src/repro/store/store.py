@@ -369,8 +369,10 @@ class HoneypotStore:
         Rows are buffered per table and flushed as batched transactions
         every :data:`BATCH_SIZE` rows; an unknown row type is a
         :class:`StoreError` (the stream is corrupt, not just unfamiliar),
-        and so is a liker id that is not an int32 integer.  Either way
-        the rows before it land and the refused row does not.
+        and so is a liker id that is not an int32 integer.  Either way,
+        as when ``rows`` itself raises a :class:`StoreError` (a journal
+        record it could not decode), the rows before it land and the
+        refused row does not.
         """
         total = 0
         campaigns: List[Tuple] = []
@@ -385,6 +387,9 @@ class HoneypotStore:
             nonlocal buffered
             if not buffered:
                 return
+            # A failed batch is dropped, so the flush that lands the rows
+            # before a refusal never retries it.
+            buffered = 0
             try:
                 failpoints.hit("store.ingest.batch")
                 self._flush_buffers(
@@ -399,60 +404,60 @@ class HoneypotStore:
                 raise StoreError(
                     f"store ingest batch into {self.path} failed: {error}"
                 ) from error
-            for buffer in (
-                campaigns, observations, likers,
-                memberships, baseline, terminations,
-            ):
-                buffer.clear()
-            buffered = 0
+            finally:
+                for buffer in (
+                    campaigns, observations, likers,
+                    memberships, baseline, terminations,
+                ):
+                    buffer.clear()
 
-        for row in rows:
-            kind = row.get("type")
-            if kind == "meta":
-                self.set_globals(
-                    row["global_gender"], row["global_age"], row["global_country"]
-                )
-            elif kind == "campaign":
-                campaigns.append((
-                    row["campaign_id"], row["provider"], row["kind"],
-                    row["location_label"], row["budget_label"],
-                    row["duration_days"], row["monitored_days"],
-                    row["page_id"], row["total_likes"],
-                    int(bool(row["inactive"])), row["removed_like_count"],
-                    row["total_cost"],
-                ))
-                for position, obs in enumerate(row["observations"]):
-                    observations.append((
-                        row["campaign_id"], position,
-                        obs["observed_at"], obs["user_id"],
+        try:
+            for row in rows:
+                kind = row.get("type")
+                if kind == "meta":
+                    self.set_globals(
+                        row["global_gender"], row["global_age"],
+                        row["global_country"],
+                    )
+                elif kind == "campaign":
+                    campaigns.append((
+                        row["campaign_id"], row["provider"], row["kind"],
+                        row["location_label"], row["budget_label"],
+                        row["duration_days"], row["monitored_days"],
+                        row["page_id"], row["total_likes"],
+                        int(bool(row["inactive"])), row["removed_like_count"],
+                        row["total_cost"],
                     ))
-                for position, user_id in enumerate(row["terminated_liker_ids"]):
-                    terminations.append((row["campaign_id"], position, user_id))
-            elif kind == "liker":
-                try:
+                    for position, obs in enumerate(row["observations"]):
+                        observations.append((
+                            row["campaign_id"], position,
+                            obs["observed_at"], obs["user_id"],
+                        ))
+                    for position, user_id in enumerate(row["terminated_liker_ids"]):
+                        terminations.append((row["campaign_id"], position, user_id))
+                elif kind == "liker":
                     friends = _liker_ids(row, "visible_friend_ids", "friend id")
                     pages = _liker_ids(row, "liked_page_ids", "page id")
-                except StoreError:
+                    likers.append((
+                        row["user_id"], row["gender"], row["age_bracket"],
+                        row["country"], int(bool(row["friend_list_public"])),
+                        row["declared_friend_count"], friends, pages,
+                        row["declared_like_count"], int(bool(row["terminated"])),
+                        row["crawl_status"], json.dumps(row["failed_fields"]),
+                    ))
+                    for position, campaign_id in enumerate(row["campaign_ids"]):
+                        memberships.append((row["user_id"], position, campaign_id))
+                elif kind == "baseline":
+                    baseline.append((row["user_id"], row["declared_like_count"]))
+                else:
+                    raise StoreError(f"unknown ingest row type {row.get('type')!r}")
+                total += 1
+                buffered += 1
+                if buffered >= BATCH_SIZE:
                     flush()
-                    raise
-                likers.append((
-                    row["user_id"], row["gender"], row["age_bracket"],
-                    row["country"], int(bool(row["friend_list_public"])),
-                    row["declared_friend_count"], friends, pages,
-                    row["declared_like_count"], int(bool(row["terminated"])),
-                    row["crawl_status"], json.dumps(row["failed_fields"]),
-                ))
-                for position, campaign_id in enumerate(row["campaign_ids"]):
-                    memberships.append((row["user_id"], position, campaign_id))
-            elif kind == "baseline":
-                baseline.append((row["user_id"], row["declared_like_count"]))
-            else:
-                flush()
-                raise StoreError(f"unknown ingest row type {row.get('type')!r}")
-            total += 1
-            buffered += 1
-            if buffered >= BATCH_SIZE:
-                flush()
+        except StoreError:
+            flush()
+            raise
         flush()
         self.update_rowcounts()
         return total
@@ -538,16 +543,11 @@ class HoneypotStore:
             total_cost=total_cost,
         )
 
-    def _liker_record(self, row: Sequence) -> LikerRecord:
+    @staticmethod
+    def _liker_record(row: Sequence, campaign_ids: List[str]) -> LikerRecord:
         (user_id, gender, age_bracket, country, friend_list_public,
          declared_friend_count, visible_friend_ids, liked_page_ids,
          declared_like_count, terminated, crawl_status, failed_fields) = row
-        memberships = self._db.execute(
-            "SELECT campaign_id FROM liker_campaigns WHERE user_id = ? "
-            "ORDER BY position",
-            (user_id,),
-        ).fetchall()
-        self._read("liker_campaigns", len(memberships))
         return LikerRecord(
             user_id=user_id,
             gender=gender,
@@ -558,20 +558,36 @@ class HoneypotStore:
             visible_friend_ids=np.frombuffer(visible_friend_ids, ID_BLOB),
             liked_page_ids=np.frombuffer(liked_page_ids, ID_BLOB),
             declared_like_count=declared_like_count,
-            campaign_ids=[c for (c,) in memberships],
+            campaign_ids=campaign_ids,
             terminated=bool(terminated),
             crawl_status=crawl_status,
             failed_fields=json.loads(failed_fields),
         )
 
     def iter_likers(self) -> Iterator[LikerRecord]:
-        """Liker records in first-crawled (insertion) order, streamed."""
+        """Liker records in first-crawled (insertion) order, streamed.
+
+        The campaign memberships come from one scan in the same order
+        (the likers' ``seq``, then ``position``), merged with the liker
+        cursor.
+        """
         cursor = self._db.execute(
             f"SELECT {', '.join(_LIKER_COLUMNS)} FROM likers ORDER BY seq"
         )
+        memberships = self._db.execute(
+            "SELECT likers.user_id, liker_campaigns.campaign_id FROM likers "
+            "JOIN liker_campaigns ON liker_campaigns.user_id = likers.user_id "
+            "ORDER BY likers.seq, liker_campaigns.position"
+        )
+        member = next(memberships, None)
         for row in cursor:
+            campaign_ids = []
+            while member is not None and member[0] == row[0]:
+                campaign_ids.append(member[1])
+                member = next(memberships, None)
             self._read("likers", 1)
-            yield self._liker_record(row)
+            self._read("liker_campaigns", len(campaign_ids))
+            yield self._liker_record(row, campaign_ids)
 
     def iter_baseline(self) -> Iterator[BaselineRecord]:
         """Baseline records in sample order, streamed."""

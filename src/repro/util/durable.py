@@ -23,7 +23,14 @@ import os
 from pathlib import Path
 from typing import Dict, IO, List
 
+import numpy as np
+
 from repro import failpoints
+
+#: The byte layout of an id array at rest: little-endian int32, 4 bytes
+#: per id, in the store's BLOB columns and, base64-encoded, in the
+#: checkpoint journal.
+ID_BLOB = np.dtype("<i4")
 
 #: Process-wide fsync accounting, keyed by call-site tag (read by the perf
 #: harness; purely informational, never branched on).

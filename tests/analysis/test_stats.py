@@ -1,9 +1,11 @@
 """Tests for repro.analysis.stats."""
 
 import math
+import struct
 
+import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from repro.analysis.stats import (
     cdf_at,
@@ -114,6 +116,47 @@ class TestSummaryStats:
         stats = summary_stats([])
         assert stats.count == 0
         assert stats.mean == 0.0
+
+
+def _bits(value):
+    return struct.pack("<d", value)
+
+
+def _assert_median_is_numpys(values):
+    with np.errstate(all="ignore"):
+        want = float(np.median(np.asarray(values, dtype=float)))
+        got = summary_stats(values).median
+    assert _bits(got) == _bits(want), (values, got, want)
+
+
+#: Floats NumPy orders awkwardly: signed zeros, infinities, NaNs (a
+#: negative one included) and ties.
+_awkward = st.sampled_from(
+    [0.0, -0.0, 1.0, -1.0, 2.5, math.inf, -math.inf, math.nan, -math.nan, 1e308]
+)
+
+
+class TestMedianIsNumpys:
+    """``summary_stats``' median is ``np.median``'s, bit for bit."""
+
+    @pytest.mark.parametrize("values", [
+        [3.0], [2.0, 1.0], [5.0, 1.0, 3.0], [4.0, 1.0, 3.0, 2.0],
+        [1.0, 1.0, 1.0, 2.0], [2.0, 2.0, 1.0, 2.0, 2.0],
+        [0.0, -0.0], [-0.0, 0.0, -0.0], [1.0, math.nan, 3.0],
+        [math.nan], [math.inf, -math.inf], [1e308, 1e308], [7, 3, 5, 1],
+    ])
+    def test_cases(self, values):
+        _assert_median_is_numpys(values)
+
+    @settings(max_examples=300, deadline=None)
+    @given(values=st.lists(st.floats() | _awkward, min_size=1, max_size=40))
+    def test_any_sample(self, values):
+        _assert_median_is_numpys(values)
+
+    @settings(max_examples=100, deadline=None)
+    @given(values=st.lists(st.integers(-5, 5), min_size=1, max_size=40))
+    def test_ties(self, values):
+        _assert_median_is_numpys(values)
 
 
 class TestMaxCountInWindow:

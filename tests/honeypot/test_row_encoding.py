@@ -6,14 +6,20 @@ encodes them a column at a time:
 * ``write_jsonl_rows`` (the ``--out`` JSONL and the store export) writes
   exactly ``json.dumps`` of each row with its arrays as lists, for any
   chunk bound, a record longer than a chunk included;
-* the checkpoint journal writes the same text, and replay-verify refuses
-  a replayed record whose text differs from the salvaged one, by one id
-  or only by ``true`` against ``1``;
+* the checkpoint journal (``journal@2``) writes ``json.dumps`` of each
+  row with each array as its packed text, the base64 of its
+  little-endian int32 bytes; an int32 array of any layout round-trips
+  through the journal and its store ingest, any other array is refused,
+  a malformed packed field refuses the journal's ingest by user and
+  field, and a ``journal@1`` checkpoint is refused on resume and repair;
+  replay-verify refuses a replayed record whose text differs from the
+  salvaged one, by one id or only by ``true`` against ``1``;
 * the store keeps each id array as a little-endian int32 BLOB that
   round-trips to the same export bytes, refuses at ingest an id it could
   not export, and refuses a ``schema@1`` file.
 """
 
+import base64
 import json
 import sqlite3
 import struct
@@ -26,11 +32,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.ckpt.errors import CheckpointError
-from repro.ckpt.journal import DatasetJournal, read_journal
+from repro.ckpt.journal import JOURNAL_SCHEMA, DatasetJournal, read_journal, unpack_ids
+from repro.cli import main
 from repro.honeypot import storage
 from repro.honeypot.storage import (
     CRAWL_COMPLETE,
     CRAWL_PARTIAL,
+    LIKER_ID_FIELDS,
     BaselineRecord,
     CampaignRecord,
     HoneypotDataset,
@@ -40,8 +48,10 @@ from repro.honeypot.storage import (
     write_jsonl_rows,
 )
 from repro.store import HoneypotStore, StoreError
+from repro.store.ingest import ingest_journal
 from repro.store.schema import DDL, META_SCHEMA_KEY, STORE_SCHEMA
 from repro.util.rng import RngStream
+from tests.test_checkpoint_resume import BASE_ARGS
 
 INT32_MIN, INT32_MAX = -(2**31), 2**31 - 1
 
@@ -118,6 +128,22 @@ def _reference(rows):
     return "".join(json.dumps(_as_lists(row)) + "\n" for row in rows).encode()
 
 
+def _packed(ids):
+    """An id list's journal text: base64 of its little-endian int32 bytes."""
+    return base64.b64encode(struct.pack(f"<{len(ids)}i", *ids)).decode("ascii")
+
+
+def _journal_reference(rows):
+    """The journal lines of ``rows``: ``json.dumps`` with arrays packed."""
+    return "".join(
+        json.dumps({
+            name: _packed(value.tolist()) if isinstance(value, np.ndarray) else value
+            for name, value in row.items()
+        }) + "\n"
+        for row in rows
+    ).encode()
+
+
 def _written(rows, chunk=storage._ID_CHUNK):
     with tempfile.TemporaryDirectory() as tmp, mock.patch.object(
         storage, "_ID_CHUNK", chunk
@@ -189,7 +215,7 @@ class TestJournalText:
                 journal.append(row)
             assert journal.replayed == len(rows)
             journal.close()
-        assert b"".join(lines) == _reference(rows)
+        assert b"".join(lines) == _journal_reference(rows)
 
     def test_replay_differing_in_one_id_is_refused(self, tmp_path):
         path = tmp_path / "journal.jsonl"
@@ -212,6 +238,132 @@ class TestJournalText:
         with pytest.raises(TypeError, match="set is not JSON serializable"):
             journal.append({"type": "phase", "ids": {1}})
         journal.close()
+
+    def test_int64_array_is_refused_not_wrapped(self, tmp_path):
+        path = tmp_path / "j.jsonl"
+        journal = DatasetJournal.start(path, seed=1, config_hash="h")
+        with pytest.raises(TypeError, match="must be 1-D int32, not int64"):
+            journal.append({"type": "liker", "liked_page_ids": np.array([7, 2**31])})
+        journal.close()
+        assert read_journal(path).records == []
+
+
+@st.composite
+def id_arrays(draw):
+    """``(array, ids)``: an int32 array in a layout a row may hand the
+    journal (owned, a strided view, big-endian) and the ids it holds."""
+    ids = draw(_id_lists)
+    layout = draw(st.sampled_from(["owned", "strided", "big-endian"]))
+    if layout == "strided":
+        wide = np.zeros(2 * len(ids), dtype=np.int32)
+        wide[::2] = ids
+        array = wide[::2]
+        assert not array.flags.c_contiguous or len(ids) <= 1
+    elif layout == "big-endian":
+        array = np.array(ids, dtype=">i4")
+    else:
+        array = np.array(ids, dtype=np.int32)
+    return array, ids
+
+
+def _assert_frozen_ids(array, ids):
+    assert array.dtype == np.int32 and array.tolist() == ids
+    assert not array.flags.writeable
+
+
+class TestJournalIngest:
+    """Packed ids through ``read_journal`` and ``ingest_journal``."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        records=st.lists(liker_records(), max_size=4, unique_by=lambda r: r.user_id),
+        arrays=st.lists(id_arrays(), min_size=8, max_size=8),
+    )
+    def test_packed_arrays_round_trip(self, records, arrays):
+        rows, expected = [], []
+        for record, friends, pages in zip(records, arrays[::2], arrays[1::2]):
+            row = _row(record, "liker")
+            row["visible_friend_ids"], row["liked_page_ids"] = friends[0], pages[0]
+            rows.append(row)
+            expected.append((friends[1], pages[1]))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "journal.jsonl"
+            TestJournalText._journal(path, rows)
+            for record, ids in zip(read_journal(path).records, expected):
+                for name, want in zip(LIKER_ID_FIELDS, ids):
+                    _assert_frozen_ids(unpack_ids(record[name]), want)
+            with HoneypotStore.create(Path(tmp) / "s.sqlite") as store:
+                assert ingest_journal(store, path)["rows"] == len(rows)
+                loaded = list(store.iter_likers())
+        assert [liker.user_id for liker in loaded] == [r.user_id for r in records]
+        for liker, (friends, pages) in zip(loaded, expected):
+            _assert_frozen_ids(liker.visible_friend_ids, friends)
+            _assert_frozen_ids(liker.liked_page_ids, pages)
+
+    @pytest.mark.parametrize(
+        "bad", ["!!!!", "AAA", "AAA=", [7]],
+        ids=["not-base64", "odd-length", "two-bytes", "journal@1-list"],
+    )
+    @pytest.mark.parametrize("field", LIKER_ID_FIELDS)
+    def test_malformed_field_is_refused_after_earlier_rows(self, tmp_path, field, bad):
+        good = _row(_liker(1_000_000, friends=[7], pages=[9]), "liker")
+        broken = {**_row(_liker(1_000_001, friends=[8], pages=[10]), "liker"), field: bad}
+        path = tmp_path / "journal.jsonl"
+        TestJournalText._journal(path, [good, broken])
+        with HoneypotStore.create(tmp_path / "s.sqlite") as store:
+            with pytest.raises(
+                StoreError, match=rf"liker 1000001: {field} is not packed int32 ids"
+            ):
+                ingest_journal(store, path)
+            assert [liker.user_id for liker in store.iter_likers()] == [1_000_000]
+
+
+class TestJournalSchemaRefusal:
+    """A ``journal@1`` checkpoint (arrays as lists) is refused, exit 3."""
+
+    @pytest.fixture()
+    def old_checkpoint(self, tmp_path):
+        """A small checkpointed run's directory, store and ``journal@1`` journal."""
+        directory, store = tmp_path / "ck", tmp_path / "study.sqlite"
+        assert main(BASE_ARGS + [
+            "--out", str(tmp_path / "study.jsonl"),
+            "--checkpoint-dir", str(directory), "--store", str(store),
+        ]) in (0, 1)
+        journal = directory / "journal.jsonl"
+        lines = [json.loads(line) for line in journal.read_text().splitlines()]
+        assert lines[0]["schema"] == JOURNAL_SCHEMA
+        lines[0]["schema"] = "repro.ckpt/journal@1"
+        likers = [row for row in lines if row.get("type") == "liker"]
+        assert likers
+        for row in likers:
+            for name in LIKER_ID_FIELDS:
+                row[name] = unpack_ids(row[name]).tolist()
+        journal.write_text("".join(json.dumps(row) + "\n" for row in lines))
+        return directory, store, journal
+
+    @staticmethod
+    def _assert_refused(capsys):
+        err = capsys.readouterr().err
+        assert "'repro.ckpt/journal@1'" in err and f"'{JOURNAL_SCHEMA}'" in err, err
+
+    def test_resume_refuses(self, tmp_path, capsys, old_checkpoint):
+        directory, _, journal = old_checkpoint
+        before = journal.read_bytes()
+        capsys.readouterr()
+        out = tmp_path / "resumed.jsonl"
+        assert main(BASE_ARGS + ["--out", str(out), "--resume", str(directory)]) == 3
+        self._assert_refused(capsys)
+        assert journal.read_bytes() == before
+        assert not out.exists()
+
+    def test_repair_refuses(self, capsys, old_checkpoint):
+        _, store, journal = old_checkpoint
+        before = store.read_bytes()
+        capsys.readouterr()
+        assert main(["query", str(store), "repair", "--journal", str(journal)]) == 3
+        self._assert_refused(capsys)
+        assert store.read_bytes() == before
+        assert not store.with_name(store.name + ".repair").exists()
 
 
 class TestStoreBlobs:

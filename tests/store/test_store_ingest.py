@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from repro.ckpt.journal import JOURNAL_SCHEMA
 from repro.ckpt.manager import CheckpointConfig
 from repro.cli import main
 from repro.honeypot.study import HoneypotStudy, StudyConfig
@@ -68,7 +69,7 @@ class TestJournalIngest:
     def test_unknown_record_type_refuses(self, tmp_path):
         journal = tmp_path / "journal.jsonl"
         journal.write_text(
-            '{"type": "journal-header", "schema": "repro.ckpt/journal@1", '
+            f'{{"type": "journal-header", "schema": "{JOURNAL_SCHEMA}", '
             '"seed": 1, "config_hash": "x"}\n'
             '{"type": "mystery"}\n'
         )

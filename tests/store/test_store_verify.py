@@ -4,6 +4,7 @@ import dataclasses
 
 import pytest
 
+from repro.ckpt.journal import JOURNAL_SCHEMA
 from repro.ckpt.manager import CheckpointConfig
 from repro.honeypot.study import HoneypotStudy, StudyConfig
 from repro.store import HoneypotStore, StoreError, repair_from_journal
@@ -119,7 +120,7 @@ class TestRepairFromJournal:
         path.write_bytes(b"damaged original")
         bad_journal = tmp_path / "journal.jsonl"
         bad_journal.write_text(
-            '{"type": "journal-header", "schema": "repro.ckpt/journal@1", '
+            f'{{"type": "journal-header", "schema": "{JOURNAL_SCHEMA}", '
             '"seed": 1, "config_hash": "x"}\n'
             '{"type": "mystery"}\n'
         )

@@ -5,8 +5,11 @@ spawned worker per shard under ``--jobs``, and the ``query`` and
 ``report`` commands that read the tables back.  networkx is 285
 modules, yet only the graph analyses (the Figure 3 component census,
 ``graph_metrics``, the detection graph rule) call it, so those functions
-import it on first use.  Each check runs in a fresh interpreter, so
-nothing an earlier test imported leaks in.
+import it on first use.  ``numpy.ma`` (13-21 ms of import) stays out of
+``run`` and ``run --report`` too: NumPy loads it from plain
+``np.unique`` and float ``np.median``, which the run path does not call.
+Each check runs in a fresh interpreter, so nothing an earlier test
+imported leaks in.
 """
 
 from __future__ import annotations
@@ -69,3 +72,16 @@ def test_run_and_query_leave_networkx_unloaded_report_loads_it(tmp_path):
     )
     assert found == {"codes": [0, 0, 0], "before_report": [],
                      "after_report": True}
+
+
+def test_run_and_its_report_leave_numpy_ma_unloaded(tmp_path):
+    found = probe(
+        "from repro.cli import main\n"
+        "codes = [main(['run', '--out', 'study.jsonl'])]\n"
+        "after_run = loaded('numpy.ma')\n"
+        "codes.append(main(['run', '--out', 'again.jsonl', '--report']))\n"
+        "print(json.dumps({'codes': codes, 'after_run': after_run,\n"
+        "                  'after_report': loaded('numpy.ma')}))\n",
+        cwd=tmp_path,
+    )
+    assert found == {"codes": [0, 0], "after_run": [], "after_report": []}
