@@ -96,11 +96,15 @@ metrics:
 report:
 	$(RUN_ENV) $(PYTHON) examples/paper_reproduction.py
 
+# Every example script end to end (CI job `examples`); tier-1 runs only
+# the fast ones, and tests/test_doc_imports.py checks all of their imports.
 examples:
 	$(RUN_ENV) $(PYTHON) examples/quickstart.py
 	$(RUN_ENV) $(PYTHON) examples/custom_farm.py
 	$(RUN_ENV) $(PYTHON) examples/fraud_detection.py
 	$(RUN_ENV) $(PYTHON) examples/extended_study.py
+	$(RUN_ENV) $(PYTHON) examples/paper_reproduction.py
+	$(RUN_ENV) $(PYTHON) examples/platform_defender.py
 
 clean:
 	rm -rf .pytest_cache .benchmarks build dist *.egg-info src/*.egg-info

@@ -77,14 +77,15 @@ import tempfile
 import time
 from pathlib import Path
 
-from repro.ckpt import CheckpointConfig
+from repro.ckpt.manager import CheckpointConfig
 from repro.core.experiment import HoneypotExperiment
 from repro.honeypot.study import HoneypotStudy, StudyConfig
 from repro.lint.baseline import Baseline
 from repro.lint.runner import lint_paths
-from repro.obs import ObservabilityConfig, build_manifest, write_manifest
+from repro.obs.manifest import build_manifest, write_manifest
+from repro.obs.metrics import ObservabilityConfig
 from repro.osn.faults import FaultProfile
-from repro.shard import ShardSupervisor
+from repro.shard.supervisor import ShardSupervisor
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 OUTPUT_PATH = REPO_ROOT / "BENCH_pipeline.json"

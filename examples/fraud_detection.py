@@ -20,7 +20,7 @@ Usage:
 import numpy as np
 
 from repro.analysis.social import provider_membership
-from repro.core import HoneypotExperiment
+from repro.core.experiment import HoneypotExperiment
 from repro.detection import (
     FEATURE_NAMES,
     GraphCommunityDetector,

@@ -21,7 +21,9 @@ from repro.analysis.report import (
     render_table2,
     render_table3,
 )
-from repro.core import HoneypotExperiment, paperdata, render_comparison
+from repro.core import paperdata
+from repro.core.comparison import render_comparison
+from repro.core.experiment import HoneypotExperiment
 from repro.util.tables import render_table
 
 

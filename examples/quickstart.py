@@ -14,7 +14,7 @@ Usage:
 import sys
 
 from repro.analysis.report import full_report
-from repro.core import HoneypotExperiment
+from repro.core.experiment import HoneypotExperiment
 
 
 def main() -> int:

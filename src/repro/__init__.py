@@ -18,26 +18,16 @@ The package layers cleanly:
 * :mod:`repro.core` -- the experiment runner, published paper values, and
   shape checks.
 
+Package ``__init__`` modules import nothing (``repro.store``,
+``repro.detection`` and ``repro.lint`` keep their re-exports), so a
+process loads only the modules its command runs: import each name from
+its defining module.
+
 Quickstart::
 
-    from repro import HoneypotExperiment
+    from repro.core.experiment import HoneypotExperiment
     results = HoneypotExperiment.small().run()
     print(results.passed_all())
 """
 
-from repro.core.experiment import HoneypotExperiment
-from repro.core.results import ExperimentResults, ShapeCheck
-from repro.honeypot.storage import HoneypotDataset
-from repro.honeypot.study import HoneypotStudy, StudyConfig
-
 __version__ = "1.0.0"
-
-__all__ = [
-    "ExperimentResults",
-    "HoneypotDataset",
-    "HoneypotExperiment",
-    "HoneypotStudy",
-    "ShapeCheck",
-    "StudyConfig",
-    "__version__",
-]

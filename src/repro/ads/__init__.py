@@ -11,23 +11,3 @@ cheapest, which in 2014 meant the likes came almost exclusively from India
 (paper Figure 1, FB-ALL bar) and largely from profiles that click and like
 indiscriminately (click workers).
 """
-
-from repro.ads.targeting import TargetingSpec
-from repro.ads.costmodel import CostModel, CountryMarket
-from repro.ads.clickworkers import ClickWorkerConfig, ClickWorkerPopulation
-from repro.ads.campaign import AdCampaign
-from repro.ads.delivery import AdDeliveryEngine, DeliveryConfig
-from repro.ads.reports import PageInsightsReport, ReportsTool
-
-__all__ = [
-    "AdCampaign",
-    "AdDeliveryEngine",
-    "ClickWorkerConfig",
-    "ClickWorkerPopulation",
-    "CostModel",
-    "CountryMarket",
-    "DeliveryConfig",
-    "PageInsightsReport",
-    "ReportsTool",
-    "TargetingSpec",
-]

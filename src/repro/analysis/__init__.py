@@ -14,83 +14,3 @@ Every function here consumes a :class:`repro.honeypot.storage.HoneypotDataset`
 * :mod:`repro.analysis.summary` — Table 1 (campaign summary).
 * :mod:`repro.analysis.report` — plain-text rendering of all of the above.
 """
-
-from repro.analysis.stats import (
-    empirical_cdf,
-    jaccard,
-    kl_divergence_bits,
-    summary_stats,
-)
-from repro.analysis.demographics import (
-    CountryBuckets,
-    Table2Row,
-    age_distribution,
-    country_distribution,
-    gender_split,
-    table2,
-)
-from repro.analysis.temporal import (
-    TemporalProfile,
-    classify_strategy,
-    cumulative_series,
-    temporal_profile,
-)
-from repro.analysis.social import (
-    ALMS_GROUP,
-    GroupGraphStats,
-    ProviderSocialStats,
-    group_likers_by_provider,
-    provider_social_stats,
-    group_graph_stats,
-)
-from repro.analysis.likes import (
-    LikeCountSummary,
-    baseline_like_counts,
-    campaign_like_counts,
-    like_count_summary,
-)
-from repro.analysis.similarity import SimilarityMatrices, jaccard_matrices
-from repro.analysis.summary import Table1Row, table1
-from repro.analysis.economics import (
-    CampaignEconomics,
-    campaign_economics,
-    render_economics,
-)
-from repro.analysis.export import export_all
-from repro.analysis.report import full_report
-
-__all__ = [
-    "ALMS_GROUP",
-    "CampaignEconomics",
-    "CountryBuckets",
-    "campaign_economics",
-    "export_all",
-    "render_economics",
-    "GroupGraphStats",
-    "LikeCountSummary",
-    "ProviderSocialStats",
-    "SimilarityMatrices",
-    "Table1Row",
-    "Table2Row",
-    "TemporalProfile",
-    "age_distribution",
-    "baseline_like_counts",
-    "campaign_like_counts",
-    "classify_strategy",
-    "country_distribution",
-    "cumulative_series",
-    "empirical_cdf",
-    "full_report",
-    "gender_split",
-    "group_graph_stats",
-    "group_likers_by_provider",
-    "jaccard",
-    "jaccard_matrices",
-    "kl_divergence_bits",
-    "like_count_summary",
-    "provider_social_stats",
-    "summary_stats",
-    "table1",
-    "table2",
-    "temporal_profile",
-]

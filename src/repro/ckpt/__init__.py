@@ -5,52 +5,17 @@ run must survive the same operational reality — a SIGKILL, an OOM, an
 operator Ctrl-C — without losing the dataset or its byte-identical-run
 guarantee.  This package provides:
 
-* :class:`DatasetJournal` — an append-only JSONL write-ahead log of
+* :class:`repro.ckpt.journal.DatasetJournal` — an append-only JSONL write-ahead log of
   everything the study observes, flushed per record and fsync'd once per
   barrier (group commit), with a recovery reader that tolerates a torn
   final line;
-* snapshots — atomic, sha256-manifested captures of all serialisable
+* snapshots (:mod:`repro.ckpt.snapshot`) — atomic, sha256-manifested captures of all serialisable
   study state (RNG generator states, engine clock/queue signature,
   monitor progress, circuit breakers, metrics counters) at phase
   boundaries and on a configurable mid-simulation cadence;
-* :class:`CheckpointManager` — verified deterministic resume: the study
+* :class:`repro.ckpt.manager.CheckpointManager` — verified deterministic resume: the study
   replays from its seed while the manager proves, record by record and
   barrier by barrier, that the replay equals the crashed run, then
   continues it.  ``repro-study run --checkpoint-dir D`` / ``--resume D``
   is the CLI surface; ``make crashtest`` is the enforcement harness.
 """
-
-from repro.ckpt.errors import CheckpointError
-from repro.ckpt.journal import (
-    JOURNAL_SCHEMA,
-    DatasetJournal,
-    JournalRecovery,
-    read_journal,
-)
-from repro.ckpt.manager import CheckpointConfig, CheckpointManager
-from repro.ckpt.snapshot import (
-    MANIFEST_NAME,
-    SNAPSHOT_SCHEMA,
-    barrier_key,
-    load_checkpoint_manifest,
-    load_snapshot,
-    write_checkpoint_manifest,
-    write_snapshot,
-)
-
-__all__ = [
-    "CheckpointConfig",
-    "CheckpointError",
-    "CheckpointManager",
-    "DatasetJournal",
-    "JOURNAL_SCHEMA",
-    "JournalRecovery",
-    "MANIFEST_NAME",
-    "SNAPSHOT_SCHEMA",
-    "barrier_key",
-    "load_checkpoint_manifest",
-    "load_snapshot",
-    "read_journal",
-    "write_checkpoint_manifest",
-    "write_snapshot",
-]

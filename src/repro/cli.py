@@ -45,23 +45,19 @@ import os
 import sys
 import time
 from pathlib import Path
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
+# Only what a plain ``run`` executes loads here; every subsystem behind a
+# flag or another command (store, checkpoint, shards, the fault stack,
+# the manifest, CSV export) is imported where that flag or command runs.
 from repro import failpoints
-from repro.analysis.export import export_all
 from repro.analysis.report import full_report
 from repro.core.experiment import HoneypotExperiment
 from repro.core.results import ExperimentResults
-from repro.ckpt import CheckpointConfig, CheckpointError
 from repro.honeypot.storage import HoneypotDataset
 from repro.honeypot.study import StudyConfig
-from repro.obs import ObservabilityConfig, build_manifest, write_manifest
-from repro.obs.metrics import MetricsRegistry
-from repro.osn.faults import FaultProfile
+from repro.obs.metrics import MetricsRegistry, ObservabilityConfig
 from repro.osn.population import PopulationConfig
-from repro.shard.errors import ShardError
-from repro.store import HoneypotStore, StoreError, repair_from_journal
-from repro.store import queries as store_queries
 from repro.util.tables import render_table
 
 
@@ -199,11 +195,15 @@ def _config_for(args: argparse.Namespace) -> StudyConfig:
             spec.campaign_id for spec in config.specs[:count]
         ]
     if getattr(args, "chaos", False):
+        from repro.osn.faults import FaultProfile
+
         config.fault_profile = FaultProfile.default()
     if getattr(args, "metrics", None) is not None:
         config.observability = ObservabilityConfig(enabled=True)
     resume_dir = getattr(args, "resume", None)
     checkpoint_dir = getattr(args, "checkpoint_dir", None)
+    if resume_dir is not None or checkpoint_dir is not None:
+        from repro.ckpt.manager import CheckpointConfig
     if resume_dir is not None:
         config.checkpoint = CheckpointConfig(directory=resume_dir, resume=True)
     elif checkpoint_dir is not None:
@@ -216,6 +216,8 @@ def _config_for(args: argparse.Namespace) -> StudyConfig:
 
 def _write_store(path: Path, dataset: HoneypotDataset) -> None:
     """Land the run's dataset in a queryable store, reporting throughput."""
+    from repro.store.store import HoneypotStore
+
     if path.exists():
         path.unlink()  # --store names this run's output, like --out
     started = time.perf_counter()
@@ -260,6 +262,8 @@ def cmd_run(args: argparse.Namespace) -> int:
     if args.store is not None:
         _write_store(args.store, dataset)
     if args.metrics is not None:
+        from repro.obs.manifest import build_manifest, write_manifest
+
         registry = experiment.artifacts.metrics
         manifest = build_manifest(
             experiment.config,
@@ -296,7 +300,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 def _run_sharded(args: argparse.Namespace) -> int:
     """The ``--jobs N`` path: supervised shards, deterministic merge."""
-    from repro.shard import ShardSupervisor
+    from repro.shard.supervisor import ShardSupervisor
 
     config = _config_for(args)
     supervisor = ShardSupervisor(
@@ -317,6 +321,8 @@ def _run_sharded(args: argparse.Namespace) -> int:
         print(f"shard QUARANTINED after {outcome.attempts} attempts: "
               f"{shard_id} ({outcome.error})", file=sys.stderr)
     if args.metrics is not None:
+        from repro.obs.manifest import build_manifest, write_manifest
+
         registry = MetricsRegistry()
         for name, value in result.counters.items():
             registry.set_counter(name, value)
@@ -371,6 +377,8 @@ def cmd_report(args: argparse.Namespace) -> int:
 
 
 def cmd_export(args: argparse.Namespace) -> int:
+    from repro.analysis.export import export_all
+
     dataset = HoneypotDataset.from_jsonl(args.dataset)
     outputs = export_all(dataset, args.dir)
     for name, path in outputs.items():
@@ -409,6 +417,9 @@ def cmd_detect(args: argparse.Namespace) -> int:
 
 def cmd_query(args: argparse.Namespace) -> int:
     from repro.analysis.temporal import classify_strategy
+    from repro.store import queries as store_queries
+    from repro.store.ingest import repair_from_journal
+    from repro.store.store import HoneypotStore
 
     if args.analysis == "verify":
         with HoneypotStore.open(args.store) as store:
@@ -518,28 +529,43 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 2
     try:
         return _COMMANDS[args.command](args)
-    except StoreError as error:
-        print(f"store error: {error}", file=sys.stderr)
-        return 2
-    except CheckpointError as error:
-        print(f"checkpoint error: {error}", file=sys.stderr)
-        return 3
-    except ShardError as error:
-        print(f"unrecoverable shard failure: {error}", file=sys.stderr)
-        return 5
-    except failpoints.FailpointError as error:
-        print(f"injected failure: {error}", file=sys.stderr)
-        return 1
-    except OSError as error:
-        # The durable path surfaces disk faults (ENOSPC, EIO) here when no
-        # subsystem owns them; a named exit, never a raw traceback.
-        print(f"i/o error: {error}", file=sys.stderr)
-        return 6
     except KeyboardInterrupt:
         # The study already flushed its final snapshot (when checkpointing
         # was on) before the interrupt propagated here.
         print("interrupted", file=sys.stderr)
         return 130
+    except Exception as error:
+        named = _named_failure(error)
+        if named is None:
+            raise
+        label, code = named
+        print(f"{label}: {error}", file=sys.stderr)
+        return code
+
+
+def _named_failure(error: Exception) -> Optional[Tuple[str, int]]:
+    """The message label and exit code of a failure the CLI names.
+
+    The subsystem error modules load only here, once an exception has
+    escaped a command: a subsystem that was never loaded cannot have
+    raised.  ``None`` lets any other exception propagate.
+    """
+    from repro.ckpt.errors import CheckpointError
+    from repro.shard.errors import ShardError
+    from repro.store.errors import StoreError
+
+    for kind, label, code in (
+        (StoreError, "store error", 2),
+        (CheckpointError, "checkpoint error", 3),
+        (ShardError, "unrecoverable shard failure", 5),
+        (failpoints.FailpointError, "injected failure", 1),
+        # The durable path surfaces disk faults (ENOSPC, EIO) here when no
+        # subsystem owns them; a named exit, never a raw traceback.
+        (OSError, "i/o error", 6),
+    ):
+        if isinstance(error, kind):
+            return label, code
+    return None
 
 
 if __name__ == "__main__":

@@ -7,18 +7,3 @@ measurement methodology.
 figure plus shape comparisons against the published values in
 :mod:`repro.core.paperdata`.
 """
-
-from repro.core.experiment import HoneypotExperiment
-from repro.core.results import ExperimentResults, ShapeCheck
-from repro.core.comparison import ComparisonRow, full_comparison, render_comparison
-from repro.core import paperdata
-
-__all__ = [
-    "ComparisonRow",
-    "ExperimentResults",
-    "HoneypotExperiment",
-    "ShapeCheck",
-    "full_comparison",
-    "paperdata",
-    "render_comparison",
-]

@@ -4,8 +4,8 @@ Thin orchestration over :class:`repro.honeypot.study.HoneypotStudy` that
 returns analysis-ready :class:`repro.core.results.ExperimentResults`.  This
 is the main entry point a downstream user calls:
 
->>> from repro.core import HoneypotExperiment
->>> from repro.honeypot import StudyConfig
+>>> from repro.core.experiment import HoneypotExperiment
+>>> from repro.honeypot.study import StudyConfig
 >>> results = HoneypotExperiment(StudyConfig.small()).run()   # doctest: +SKIP
 >>> results.passed_all()                                      # doctest: +SKIP
 True

@@ -18,21 +18,3 @@ including one operator running two storefronts, reproducing the paper's
 AuthenticLikes/MammothSocials overlap — (:mod:`repro.farms.operator`), and a
 catalog of the four farms calibrated to the paper (:mod:`repro.farms.catalog`).
 """
-
-from repro.farms.base import FarmOrder, OrderStatus
-from repro.farms.accounts import FarmAccountConfig, FakeAccountFactory
-from repro.farms.scheduler import burst_schedule, trickle_schedule
-from repro.farms.operator import FarmOperator
-from repro.farms.catalog import FarmCatalog, LikeFarmService
-
-__all__ = [
-    "FakeAccountFactory",
-    "FarmAccountConfig",
-    "FarmCatalog",
-    "FarmOperator",
-    "FarmOrder",
-    "LikeFarmService",
-    "OrderStatus",
-    "burst_schedule",
-    "trickle_schedule",
-]

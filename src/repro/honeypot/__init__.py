@@ -7,42 +7,3 @@ profile crawls honouring privacy; and a follow-up termination check a month
 later.  The output is a :class:`repro.honeypot.storage.HoneypotDataset` —
 the only thing the analysis package ever sees.
 """
-
-from repro.honeypot.page import HONEYPOT_DESCRIPTION, HONEYPOT_NAME, create_honeypot_page
-from repro.honeypot.campaignspec import CampaignSpec, paper_campaigns
-from repro.honeypot.monitor import MonitorPolicy, MonitorSnapshot, PageMonitor
-from repro.honeypot.crawler import ProfileCrawler
-from repro.honeypot.dashboard import (
-    CampaignDashboard,
-    build_dashboard,
-    render_dashboard,
-)
-from repro.honeypot.storage import (
-    BaselineRecord,
-    CampaignRecord,
-    HoneypotDataset,
-    LikeObservation,
-    LikerRecord,
-)
-from repro.honeypot.study import HoneypotStudy, StudyConfig
-
-__all__ = [
-    "BaselineRecord",
-    "CampaignDashboard",
-    "CampaignRecord",
-    "CampaignSpec",
-    "build_dashboard",
-    "render_dashboard",
-    "HONEYPOT_DESCRIPTION",
-    "HONEYPOT_NAME",
-    "HoneypotDataset",
-    "HoneypotStudy",
-    "LikeObservation",
-    "LikerRecord",
-    "MonitorPolicy",
-    "MonitorSnapshot",
-    "PageMonitor",
-    "ProfileCrawler",
-    "StudyConfig",
-    "create_honeypot_page",
-]

@@ -12,7 +12,7 @@ in aggregate (paper footnote 1).  The output is
 only view of likers.
 
 The crawl surface may be unreliable (see :mod:`repro.osn.faults`): any API
-call may raise a :class:`~repro.osn.faults.CrawlFault` even after the
+call may raise a :class:`~repro.osn.api.CrawlFault` even after the
 resilient client's retries.  The crawler degrades gracefully instead of
 aborting the study — a liker whose endpoints stay down yields a *partial*
 record (``crawl_status="partial"``, the lost field groups named in
@@ -32,9 +32,8 @@ from repro.honeypot.storage import (
     LikerRecord,
 )
 from repro.obs.metrics import NULL_METRICS, MetricsRegistry
-from repro.osn.api import PlatformAPI, ReadEndpoints
+from repro.osn.api import CrawlFault, PlatformAPI, ReadEndpoints
 from repro.osn.directory import PublicDirectory
-from repro.osn.faults import CrawlFault
 from repro.osn.ids import UserId
 from repro.osn.network import SocialNetwork
 from repro.util.rng import RngStream

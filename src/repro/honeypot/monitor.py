@@ -16,8 +16,7 @@ from dataclasses import dataclass
 from typing import Callable, List, Optional, Set
 
 from repro.obs.metrics import NULL_METRICS, MetricsRegistry
-from repro.osn.api import PlatformAPI, ReadEndpoints
-from repro.osn.faults import CrawlFault
+from repro.osn.api import CrawlFault, PlatformAPI, ReadEndpoints
 from repro.osn.ids import PageId, UserId
 from repro.osn.network import SocialNetwork
 from repro.sim.engine import EventEngine

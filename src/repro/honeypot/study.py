@@ -12,7 +12,7 @@ termination sweep a month later, and assemble the
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional
 
 from repro import failpoints
 from repro.ads.campaign import AdCampaign
@@ -20,7 +20,6 @@ from repro.ads.clickworkers import ClickWorkerConfig, ClickWorkerPopulation
 from repro.ads.costmodel import CostModel
 from repro.ads.delivery import AdDeliveryEngine, DeliveryConfig
 from repro.ads.reports import ReportsTool
-from repro.ckpt.manager import CheckpointConfig, CheckpointManager
 from repro.farms.accounts import FakeAccountFactory
 from repro.farms.base import FarmOrder
 from repro.farms.catalog import FarmCatalog
@@ -36,12 +35,15 @@ from repro.honeypot.storage import (
     LikerRecord,
     record_fields,
 )
-from repro.obs.manifest import config_fingerprint
 from repro.obs.metrics import MetricsRegistry, ObservabilityConfig
-from repro.osn.api import CrawlScopeError, PlatformAPI, ReadEndpoints, RequestStats
-from repro.osn.faults import FaultProfile, FaultyPlatformAPI
+from repro.osn.api import (
+    CrawlScopeError,
+    PlatformAPI,
+    ReadEndpoints,
+    RequestStats,
+    RetryPolicy,
+)
 from repro.osn.ids import PageId, UserId
-from repro.osn.resilient import ResilientAPI, RetryPolicy
 from repro.osn.network import SocialNetwork
 from repro.osn.population import PopulationConfig, WorldBuilder
 from repro.osn.termination import TerminationPolicy, TerminationSweep
@@ -49,6 +51,13 @@ from repro.sim.engine import EventEngine
 from repro.util.rng import RngStream
 from repro.util.timeutil import DAY, days
 from repro.util.validation import check_positive, require
+
+if TYPE_CHECKING:
+    # Loaded at run time only by a run that checkpoints or crawls
+    # through a fault profile (see _open_checkpoint and _build).
+    from repro.ckpt.manager import CheckpointConfig, CheckpointManager
+    from repro.osn.faults import FaultProfile
+    from repro.osn.resilient import ResilientAPI
 
 
 def default_termination_policy(scale: float = 1.0) -> TerminationPolicy:
@@ -187,6 +196,8 @@ class StudyConfig:
     @staticmethod
     def chaos(seed: int = 20140312) -> "StudyConfig":
         """The small study under the default chaos profile (``make chaos``)."""
+        from repro.osn.faults import FaultProfile
+
         config = StudyConfig.small(seed=seed)
         config.fault_profile = FaultProfile.default()
         return config
@@ -403,6 +414,9 @@ class HoneypotStudy:
         endpoints: ReadEndpoints = api
         resilient: Optional[ResilientAPI] = None
         if config.fault_profile is not None:
+            from repro.osn.faults import FaultyPlatformAPI
+            from repro.osn.resilient import ResilientAPI
+
             # The fault stack draws from its own child streams only, so a
             # zero-rate profile consumes no randomness and the study stays
             # byte-identical to an unwrapped run (tests/test_chaos_smoke.py).
@@ -554,6 +568,9 @@ class HoneypotStudy:
     ) -> Optional[CheckpointManager]:
         if self.config.checkpoint is None:
             return None
+        from repro.ckpt.manager import CheckpointManager
+        from repro.obs.manifest import config_fingerprint
+
         return CheckpointManager.open(
             self.config.checkpoint,
             seed=self.config.seed,

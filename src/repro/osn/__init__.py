@@ -6,75 +6,3 @@ bidirectional friendship graph, pages and timestamped page likes, a public
 directory of searchable profiles, organic-population generation, and the
 platform's fraud-enforcement (account termination) process.
 """
-
-from repro.osn.api import (
-    PlatformAPI,
-    PublicPage,
-    PublicProfile,
-    ReadEndpoints,
-    RequestStats,
-)
-from repro.osn.faults import (
-    CrawlFault,
-    CrawlTimeout,
-    EndpointUnavailable,
-    FaultProfile,
-    FaultyPlatformAPI,
-    RateLimited,
-    TransientError,
-    TruncatedResponse,
-)
-from repro.osn.resilient import CircuitBreaker, ResilientAPI, RetryPolicy
-from repro.osn.ids import PageId, UserId
-from repro.osn.metrics import GraphMetrics, cohort_metrics, graph_metrics
-from repro.osn.profile import (
-    AGE_BRACKETS,
-    Gender,
-    UserProfile,
-    age_bracket,
-)
-from repro.osn.page import Page
-from repro.osn.graph import FriendshipGraph
-from repro.osn.events import LikeEvent, LikeLog
-from repro.osn.network import SocialNetwork
-from repro.osn.directory import PublicDirectory
-from repro.osn.population import PopulationConfig, WorldBuilder
-from repro.osn.termination import TerminationPolicy, TerminationSweep
-
-__all__ = [
-    "AGE_BRACKETS",
-    "CircuitBreaker",
-    "CrawlFault",
-    "CrawlTimeout",
-    "EndpointUnavailable",
-    "FaultProfile",
-    "FaultyPlatformAPI",
-    "FriendshipGraph",
-    "Gender",
-    "GraphMetrics",
-    "PlatformAPI",
-    "RateLimited",
-    "ReadEndpoints",
-    "RequestStats",
-    "ResilientAPI",
-    "RetryPolicy",
-    "TransientError",
-    "TruncatedResponse",
-    "PublicPage",
-    "PublicProfile",
-    "cohort_metrics",
-    "graph_metrics",
-    "LikeEvent",
-    "LikeLog",
-    "Page",
-    "PageId",
-    "PopulationConfig",
-    "PublicDirectory",
-    "SocialNetwork",
-    "TerminationPolicy",
-    "TerminationSweep",
-    "UserId",
-    "UserProfile",
-    "WorldBuilder",
-    "age_bracket",
-]

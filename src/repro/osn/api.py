@@ -7,6 +7,13 @@ simulated network: typed read endpoints that enforce
 code *cannot* accidentally read ground truth, and studies can report how
 much crawling they did (the paper crawled 13 pages every 2 hours for
 weeks plus ~6k profiles).
+
+The failures a crawl can see (:class:`CrawlFault` and its subclasses) and
+the resilient client's :class:`RetryPolicy` are defined here too: the
+crawler and the monitor catch the first and every study config holds the
+second, while the fault injector (:mod:`repro.osn.faults`) and the
+resilient client (:mod:`repro.osn.resilient`) load only under a fault
+profile.
 """
 
 from __future__ import annotations
@@ -21,7 +28,7 @@ from repro.obs.metrics import MetricsRegistry
 from repro.osn.ids import PageId, UserId
 from repro.osn.network import SocialNetwork
 from repro.osn.profileread import ProfileRead
-from repro.util.validation import check_positive
+from repro.util.validation import check_positive, require
 
 
 class RequestBudgetExceeded(RuntimeError):
@@ -30,6 +37,97 @@ class RequestBudgetExceeded(RuntimeError):
 
 class CrawlScopeError(RuntimeError):
     """A crawl scope was misused: nested, written under, or held at a barrier."""
+
+
+class CrawlFault(RuntimeError):
+    """Base class of every injected crawl failure."""
+
+
+class TransientError(CrawlFault):
+    """The request failed this time; an identical retry may succeed."""
+
+
+class RateLimited(CrawlFault):
+    """The platform throttled the client.
+
+    ``retry_after`` is the platform's hint, in simulated minutes.
+    """
+
+    def __init__(self, retry_after: int) -> None:
+        super().__init__(f"rate limited; retry after {retry_after} min")
+        self.retry_after = int(retry_after)
+
+
+class CrawlTimeout(CrawlFault):
+    """Simulated latency exceeded the client timeout."""
+
+
+class TruncatedResponse(CrawlFault):
+    """A paginated list response broke partway through.
+
+    ``partial`` holds what arrived before the break (a prefix of the full
+    response); a retry re-paginates from the start.
+    """
+
+    def __init__(self, partial) -> None:
+        super().__init__("response truncated mid-pagination")
+        self.partial = partial
+
+
+class EndpointUnavailable(CrawlFault):
+    """The resilient client gave up on this request.
+
+    Raised after the retry budget is exhausted, or immediately when the
+    endpoint's circuit breaker is open.
+    """
+
+
+@dataclass(slots=True)
+class RetryPolicy:
+    """Backoff and circuit-breaker parameters of the resilient client.
+
+    Attributes
+    ----------
+    max_attempts:
+        Hard per-request budget, first try included.
+    base_backoff / backoff_factor / max_backoff:
+        Exponential backoff in simulated minutes: retry *n* waits
+        ``min(max_backoff, base_backoff * backoff_factor**(n-1))``.
+    jitter:
+        Each backoff is scaled by a uniform factor in ``[1-jitter,
+        1+jitter]`` drawn from the client's own RNG stream.
+    breaker_threshold:
+        Consecutive hard failures (transient/timeout) that trip an
+        endpoint's breaker open.
+    breaker_cooldown:
+        Fast-failed calls an open breaker swallows before letting a
+        half-open probe through.
+    """
+
+    max_attempts: int = 4
+    base_backoff: float = 2.0
+    backoff_factor: float = 2.0
+    max_backoff: float = 60.0
+    jitter: float = 0.25
+    breaker_threshold: int = 5
+    breaker_cooldown: int = 20
+
+    def __post_init__(self) -> None:
+        check_positive(self.max_attempts, "max_attempts")
+        check_positive(self.breaker_threshold, "breaker_threshold")
+        check_positive(self.breaker_cooldown, "breaker_cooldown")
+        require(self.base_backoff > 0, "base_backoff must be positive")
+        require(self.backoff_factor >= 1, "backoff_factor must be >= 1")
+        require(self.max_backoff >= self.base_backoff,
+                "max_backoff must be >= base_backoff")
+        require(0.0 <= self.jitter < 1.0, "jitter must be in [0, 1)")
+
+    def backoff_for(self, retry_number: int) -> float:
+        """The un-jittered delay before retry ``retry_number`` (1-based)."""
+        return min(
+            self.max_backoff,
+            self.base_backoff * self.backoff_factor ** (retry_number - 1),
+        )
 
 
 def _stat_view(key: str, cast):

@@ -41,55 +41,25 @@ from typing import ContextManager, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.osn.api import PlatformAPI, PublicPage, PublicProfile, RequestStats
+# The fault family lives in repro.osn.api, where the crawler and the
+# monitor catch it without loading this module; it is re-exported here.
+from repro.osn.api import (
+    CrawlFault,
+    CrawlTimeout,
+    EndpointUnavailable,
+    PlatformAPI,
+    PublicPage,
+    PublicProfile,
+    RateLimited,
+    RequestStats,
+    TransientError,
+    TruncatedResponse,
+)
 from repro.osn.ids import PageId, UserId
 from repro.util.rng import RngStream, derive_seed
 from repro.util.validation import require
 
 _PERMAFAIL_RESOLUTION = 2 ** 32
-
-
-class CrawlFault(RuntimeError):
-    """Base class of every injected crawl failure."""
-
-
-class TransientError(CrawlFault):
-    """The request failed this time; an identical retry may succeed."""
-
-
-class RateLimited(CrawlFault):
-    """The platform throttled the client.
-
-    ``retry_after`` is the platform's hint, in simulated minutes.
-    """
-
-    def __init__(self, retry_after: int) -> None:
-        super().__init__(f"rate limited; retry after {retry_after} min")
-        self.retry_after = int(retry_after)
-
-
-class CrawlTimeout(CrawlFault):
-    """Simulated latency exceeded the client timeout."""
-
-
-class TruncatedResponse(CrawlFault):
-    """A paginated list response broke partway through.
-
-    ``partial`` holds what arrived before the break (a prefix of the full
-    response); a retry re-paginates from the start.
-    """
-
-    def __init__(self, partial) -> None:
-        super().__init__("response truncated mid-pagination")
-        self.partial = partial
-
-
-class EndpointUnavailable(CrawlFault):
-    """The resilient client gave up on this request.
-
-    Raised after the retry budget is exhausted, or immediately when the
-    endpoint's circuit breaker is open.
-    """
 
 
 @dataclass(slots=True, frozen=True)

@@ -9,7 +9,7 @@ survival kit any production scraper needs:
   retried up to a hard per-request attempt budget, with exponentially
   growing, deterministically jittered virtual delays (simulated minutes,
   accumulated in :class:`~repro.osn.api.RequestStats`, never slept);
-* **rate-limit compliance** — a :class:`~repro.osn.faults.RateLimited`
+* **rate-limit compliance** — a :class:`~repro.osn.api.RateLimited`
   response waits out the platform's ``retry_after`` hint (throttling is
   the platform working, so it never counts toward the circuit breaker);
 * **per-endpoint circuit breakers** — enough *consecutive* hard failures
@@ -26,16 +26,18 @@ retries, so a fault-free run consumes no randomness here at all.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, ContextManager, Dict, Optional, Sequence, TypeVar
 
 import numpy as np
 
-from repro.osn.api import PublicPage, PublicProfile, RequestStats
-from repro.osn.faults import (
+from repro.osn.api import (
     CrawlTimeout,
     EndpointUnavailable,
+    PublicPage,
+    PublicProfile,
     RateLimited,
+    RequestStats,
+    RetryPolicy,
     TransientError,
     TruncatedResponse,
 )
@@ -46,54 +48,6 @@ from repro.util.validation import check_positive, require
 T = TypeVar("T")
 
 _NO_PARTIAL = object()
-
-
-@dataclass(slots=True)
-class RetryPolicy:
-    """Backoff and circuit-breaker parameters of the resilient client.
-
-    Attributes
-    ----------
-    max_attempts:
-        Hard per-request budget, first try included.
-    base_backoff / backoff_factor / max_backoff:
-        Exponential backoff in simulated minutes: retry *n* waits
-        ``min(max_backoff, base_backoff * backoff_factor**(n-1))``.
-    jitter:
-        Each backoff is scaled by a uniform factor in ``[1-jitter,
-        1+jitter]`` drawn from the client's own RNG stream.
-    breaker_threshold:
-        Consecutive hard failures (transient/timeout) that trip an
-        endpoint's breaker open.
-    breaker_cooldown:
-        Fast-failed calls an open breaker swallows before letting a
-        half-open probe through.
-    """
-
-    max_attempts: int = 4
-    base_backoff: float = 2.0
-    backoff_factor: float = 2.0
-    max_backoff: float = 60.0
-    jitter: float = 0.25
-    breaker_threshold: int = 5
-    breaker_cooldown: int = 20
-
-    def __post_init__(self) -> None:
-        check_positive(self.max_attempts, "max_attempts")
-        check_positive(self.breaker_threshold, "breaker_threshold")
-        check_positive(self.breaker_cooldown, "breaker_cooldown")
-        require(self.base_backoff > 0, "base_backoff must be positive")
-        require(self.backoff_factor >= 1, "backoff_factor must be >= 1")
-        require(self.max_backoff >= self.base_backoff,
-                "max_backoff must be >= base_backoff")
-        require(0.0 <= self.jitter < 1.0, "jitter must be in [0, 1)")
-
-    def backoff_for(self, retry_number: int) -> float:
-        """The un-jittered delay before retry ``retry_number`` (1-based)."""
-        return min(
-            self.max_backoff,
-            self.base_backoff * self.backoff_factor ** (retry_number - 1),
-        )
 
 
 class CircuitBreaker:

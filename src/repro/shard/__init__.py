@@ -12,21 +12,3 @@ This package is the *only* place in the codebase allowed to touch process
 state (``multiprocessing``, ``os.fork``, ``os.getpid``) — enforced
 statically by the ``DET004`` lint rule.
 """
-
-from repro.shard.errors import ShardError, ShardMergeError
-from repro.shard.merge import MergedRun, merge_shards
-from repro.shard.plan import ShardSpec, plan_shards, shard_config
-from repro.shard.supervisor import ShardOutcome, ShardRunResult, ShardSupervisor
-
-__all__ = [
-    "MergedRun",
-    "ShardError",
-    "ShardMergeError",
-    "ShardOutcome",
-    "ShardRunResult",
-    "ShardSpec",
-    "ShardSupervisor",
-    "merge_shards",
-    "plan_shards",
-    "shard_config",
-]

@@ -4,38 +4,3 @@ Nothing in this package knows about social networks, ads, or farms; it is
 deliberately generic so every other subpackage can depend on it without
 cycles.
 """
-
-from repro.util.rng import RngStream, derive_seed
-from repro.util.distributions import (
-    Categorical,
-    LogNormalCount,
-    zipf_weights,
-)
-from repro.util.tables import (
-    render_matrix,
-    render_percentage_bars,
-    render_series,
-    render_table,
-)
-from repro.util.validation import (
-    ValidationError,
-    check_fraction,
-    check_positive,
-    require,
-)
-
-__all__ = [
-    "Categorical",
-    "LogNormalCount",
-    "RngStream",
-    "ValidationError",
-    "check_fraction",
-    "check_positive",
-    "derive_seed",
-    "render_matrix",
-    "render_percentage_bars",
-    "render_series",
-    "render_table",
-    "require",
-    "zipf_weights",
-]

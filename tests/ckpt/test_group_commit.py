@@ -17,8 +17,8 @@ import pytest
 
 import repro.ckpt.journal as journal_module
 import repro.ckpt.manager as manager_module
-from repro.ckpt import CheckpointConfig, CheckpointManager, DatasetJournal
-from repro.ckpt.manager import JOURNAL_NAME
+from repro.ckpt.journal import DatasetJournal
+from repro.ckpt.manager import JOURNAL_NAME, CheckpointConfig, CheckpointManager
 from repro.honeypot.study import HoneypotStudy, StudyConfig
 
 STATE = {"rng": {"study": 1}, "metrics": {"counters": {"x": 1}}}

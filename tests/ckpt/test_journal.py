@@ -7,7 +7,8 @@ import json
 import pytest
 
 from repro import failpoints
-from repro.ckpt import CheckpointError, DatasetJournal, read_journal
+from repro.ckpt.errors import CheckpointError
+from repro.ckpt.journal import DatasetJournal, read_journal
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import EventTrace
 

@@ -4,12 +4,9 @@ from __future__ import annotations
 
 import pytest
 
-from repro.ckpt import (
-    CheckpointConfig,
-    CheckpointError,
-    CheckpointManager,
-    MANIFEST_NAME,
-)
+from repro.ckpt.errors import CheckpointError
+from repro.ckpt.manager import CheckpointConfig, CheckpointManager
+from repro.ckpt.snapshot import MANIFEST_NAME
 from repro.util.timeutil import DAY
 
 STATE_A = {"rng": {"study": 1}, "metrics": {"counters": {"x": 1}}}

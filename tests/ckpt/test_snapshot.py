@@ -6,8 +6,8 @@ import json
 
 import pytest
 
-from repro.ckpt import (
-    CheckpointError,
+from repro.ckpt.errors import CheckpointError
+from repro.ckpt.snapshot import (
     SNAPSHOT_SCHEMA,
     barrier_key,
     load_checkpoint_manifest,

@@ -9,7 +9,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.ckpt import CheckpointConfig, CheckpointError
+from repro.ckpt.errors import CheckpointError
+from repro.ckpt.manager import CheckpointConfig
 from repro.honeypot.study import HoneypotStudy, StudyConfig
 from repro.osn.faults import FaultProfile
 

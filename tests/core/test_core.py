@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.core import HoneypotExperiment, paperdata
+from repro.core import paperdata
+from repro.core.experiment import HoneypotExperiment
 from repro.core.results import ExperimentResults
 from repro.honeypot.study import StudyConfig
 

@@ -5,6 +5,7 @@ import doctest
 import pytest
 
 import repro.analysis.stats
+import repro.core.experiment
 import repro.osn.graph
 import repro.osn.profile
 import repro.sim.clock
@@ -17,6 +18,7 @@ import repro.util.timeutil
 
 MODULES = [
     repro.analysis.stats,
+    repro.core.experiment,
     repro.osn.graph,
     repro.osn.profile,
     repro.sim.clock,

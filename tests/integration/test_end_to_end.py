@@ -67,7 +67,7 @@ class TestCrossCutting:
 
 class TestDeterminism:
     def test_same_seed_same_dataset(self):
-        from repro.core import HoneypotExperiment
+        from repro.core.experiment import HoneypotExperiment
         from repro.honeypot.study import StudyConfig
 
         def run(seed):
@@ -85,7 +85,7 @@ class TestDeterminism:
         assert run(99) == run(99)
 
     def test_different_seed_differs(self):
-        from repro.core import HoneypotExperiment
+        from repro.core.experiment import HoneypotExperiment
         from repro.honeypot.study import StudyConfig
 
         def totals(seed):

@@ -11,7 +11,7 @@ import dataclasses
 
 import pytest
 
-from repro.ckpt import CheckpointConfig
+from repro.ckpt.manager import CheckpointConfig
 from repro.honeypot.study import HoneypotStudy, StudyConfig
 from repro.store import HoneypotStore
 

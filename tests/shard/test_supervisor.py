@@ -15,10 +15,11 @@ import pytest
 from repro import failpoints
 from repro.ckpt.manager import CheckpointConfig
 from repro.honeypot.study import StudyConfig
-from repro.obs import ObservabilityConfig
+from repro.obs.metrics import ObservabilityConfig
 from repro.osn.population import PopulationConfig
 from repro.osn.resilient import CircuitBreaker, ResilientAPI
-from repro.shard import ShardError, ShardSupervisor
+from repro.shard.errors import ShardError
+from repro.shard.supervisor import ShardSupervisor
 from repro.shard.plan import plan_shards
 from repro.shard.worker import POISON_ENV, TARGET_ENV
 

@@ -9,7 +9,7 @@ from repro.ckpt.journal import JOURNAL_SCHEMA
 from repro.ckpt.manager import CheckpointConfig
 from repro.cli import main
 from repro.honeypot.study import HoneypotStudy, StudyConfig
-from repro.shard import ShardSupervisor
+from repro.shard.supervisor import ShardSupervisor
 from repro.shard.merge import merge_shards
 from repro.store import HoneypotStore, StoreError
 from repro.store.ingest import ingest_journal

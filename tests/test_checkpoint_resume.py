@@ -36,7 +36,7 @@ from pathlib import Path
 import pytest
 
 from repro.honeypot.study import StudyConfig
-from repro.obs import deterministic_sections
+from repro.obs.manifest import deterministic_sections
 
 REPO = Path(__file__).resolve().parent.parent
 SEED = 11

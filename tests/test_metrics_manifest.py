@@ -26,13 +26,13 @@ from repro.analysis.summary import run_health
 from repro.cli import main
 from repro.core.experiment import HoneypotExperiment
 from repro.honeypot.study import StudyConfig
-from repro.obs import (
-    ObservabilityConfig,
+from repro.obs.manifest import (
+    SCHEMA,
     build_manifest,
     config_fingerprint,
     deterministic_sections,
 )
-from repro.obs.manifest import SCHEMA
+from repro.obs.metrics import ObservabilityConfig
 
 
 def _run_cli(tmp_path, seed, name, chaos=True):
